@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """The four resolvent operators and the inequality audit on one state.
 
-G_e and Y_e are diagonal in k; K_e and fK_e invert (-Delta + v + ...) by a
-damped fixed point through them. Positivity, kernel domination, symmetry,
-and the L1 -> L2 norm bound are all checkable numerically, and the audit
-table evaluates every named inequality with freshly recomputed constants.
+G_e and Y_e are diagonal in k; K_e and fK_e invert (-Delta + v + ...) by
+conjugate gradients preconditioned with them. Positivity, kernel domination,
+symmetry, and the L1 -> L2 norm bound are all checkable numerically, and the
+audit table evaluates every named inequality with freshly recomputed
+constants.
 """
 
 import numpy as np

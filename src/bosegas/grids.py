@@ -117,10 +117,6 @@ class RadialField:
         return float(np.sqrt(self.grid.integrate_k(self.values**2)))
 
 
-def zeros_like(grid: RadialGrid, space: str = POSITION) -> RadialField:
-    return RadialField(grid, np.zeros(grid.n), space)
-
-
 def field_from_profile(grid: RadialGrid, profile, space: str = POSITION) -> RadialField:
     nodes = grid.r if space == POSITION else grid.k
     return RadialField(grid, np.asarray(profile(nodes), dtype=float), space)

@@ -3,12 +3,14 @@
 Four operators, all positivity preserving for repulsive v:
 
   G_e  = (-Delta + 4e)^-1                       diagonal in k
-  K_e  = (-Delta + v + 4e)^-1                   damped fixed point via G_e
+  K_e  = (-Delta + v + 4e)^-1                   conjugate gradients, G_e preconditioned
   Y_e  = (-Delta + 4e(1 - C_{rho u}))^-1        diagonal in k
-  fK_e = (-Delta + v + 4e(1 - C_{rho u}))^-1    damped fixed point via Y_e
+  fK_e = (-Delta + v + 4e(1 - C_{rho u}))^-1    conjugate gradients, Y_e preconditioned
 
 C_{rho u} is convolution by rho*u (a probability density), so Y_e's Fourier
 multiplier is 1/(k^2 + 4e(1 - rho*uhat(k))), bounded below by sqrt(8e)|k|.
+With v >= 0 both K_e^-1 and fK_e^-1 are self-adjoint and positive in the
+r^2 dr inner product, which is what conjugate gradients needs.
 """
 
 from __future__ import annotations
@@ -25,12 +27,14 @@ from .potentials import Potential, QualityWarning
 
 DEFAULT_TOL = 1e-10
 MAX_ITER = 10_000
-MIN_DAMPING = 1.0 / 16.0
 POSITIVITY_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
 class LinearSolveReport:
+    """One K_e/fK_e solve; ``final_residual`` is the relative forward residual
+    ||psi - A w|| / ||psi|| carried by the CG recurrence, not recomputed."""
+
     iterations: int
     final_residual: float
     converged: bool
@@ -72,10 +76,11 @@ class OperatorContext:
         return k * k + 4.0 * self.e * (1.0 - self.rho_u_hat.values)
 
 
-def _diagonal_apply(psi: RadialField, denominator: np.ndarray) -> RadialField:
+def _multiply_in_k(psi: RadialField, multiplier: np.ndarray) -> RadialField:
+    """Transform to k, scale by a Fourier multiplier, transform back."""
     psi_hat = fourier_radial(psi)
     return inverse_fourier_radial(
-        RadialField(psi.grid, psi_hat.values / denominator, FREQUENCY)
+        RadialField(psi.grid, psi_hat.values * multiplier, FREQUENCY)
     )
 
 
@@ -99,90 +104,90 @@ def apply_Ge(psi: RadialField, e: float) -> RadialField:
     """G_e psi, Fourier multiplier 1/(k^2+4e); kernel exp(-2 sqrt(e)|x|)/(4 pi |x|)."""
     if e <= 0:
         raise ConfigurationError("apply_Ge needs e > 0")
-    out = _diagonal_apply(psi, psi.grid.k**2 + 4.0 * e)
+    out = _multiply_in_k(psi, 1.0 / (psi.grid.k**2 + 4.0 * e))
     vals = _warn_ringing(out.values, psi.values, "G_e")
     return RadialField(psi.grid, vals, POSITION)
 
 
 def apply_Ye(psi: RadialField, ctx: OperatorContext) -> RadialField:
     """Y_e psi through the diagonal multiplier of the context."""
-    out = _diagonal_apply(psi, ctx.multiplier())
+    out = _multiply_in_k(psi, 1.0 / ctx.multiplier())
     vals = _warn_ringing(out.values, psi.values, "Y_e")
     return RadialField(psi.grid, vals, POSITION)
 
 
-def _damped_richardson(psi: RadialField, v_values: np.ndarray, resolvent_diag: np.ndarray,
-                       tol: float, max_iter: int, label: str,
-                       x0: np.ndarray | None = None):
-    """Solve (kM + v) w = psi where kM is diagonal in k with entries resolvent_diag.
+def _preconditioned_cg(psi: RadialField, v_values: np.ndarray, multiplier: np.ndarray,
+                       tol: float, max_iter: int, x0: np.ndarray | None = None):
+    """Solve (kM + v) w = psi, kM diagonal in k with entries ``multiplier``.
 
-    Iteration: w <- (1-omega) w + omega * kM^-1 (psi - v w), with omega halved
-    whenever the forward residual grows (floor 1/16). The forward operator is
-    tracked algebraically (A w is linear in the update), with periodic
-    recomputation to stop float drift.
+    Conjugate gradients in the r^2 dr inner product of ``grid.integrate``,
+    preconditioned by kM^-1. The preconditioner inverts kM exactly, so
+    kM p follows from the recurrence kM p <- r + beta kM p and each
+    iteration costs one kM^-1 (two transforms). Stops when the recursively
+    updated relative residual ||r|| / ||psi|| reaches ``tol``; the true
+    residual of w levels off near 1e-12 relative, so checking it against a
+    tighter tol would never stop. Returns (w values, LinearSolveReport).
     """
     grid = psi.grid
     psi_norm = psi.norm_l2()
     if psi_norm == 0.0:
-        return RadialField(grid, np.zeros(grid.n), POSITION), LinearSolveReport(0, 0.0, True)
+        return np.zeros(grid.n), LinearSolveReport(0, 0.0, True)
+    kM_inv = 1.0 / multiplier
 
-    def kM_inv(x_values):
-        xh = fourier_radial(RadialField(grid, x_values, POSITION))
-        return inverse_fourier_radial(
-            RadialField(grid, xh.values / resolvent_diag, FREQUENCY)
-        ).values
-
-    def kM(x_values):
-        xh = fourier_radial(RadialField(grid, x_values, POSITION))
-        return inverse_fourier_radial(
-            RadialField(grid, xh.values * resolvent_diag, FREQUENCY)
-        ).values
+    def rel_norm(x):
+        return float(np.sqrt(grid.integrate(x * x))) / psi_norm
 
     if x0 is None:
         w = np.zeros(grid.n)
-        Aw = np.zeros(grid.n)      # kM w, maintained incrementally
+        r = psi.values.copy()
     else:
-        w = np.asarray(x0, dtype=float).copy()
-        Aw = kM(w)
-    omega = 1.0
-    prev_res = np.inf
-    res = np.inf
+        w = np.array(x0, dtype=float)
+        kMw = _multiply_in_k(RadialField(grid, w, POSITION), multiplier).values
+        r = psi.values - kMw - v_values * w
+    res = rel_norm(r)
+    if res <= tol:
+        return w, LinearSolveReport(0, res, True)
+    p = np.zeros(grid.n)
+    kMp = np.zeros(grid.n)
+    rz_prev = np.inf           # makes the first beta zero
     for it in range(1, max_iter + 1):
-        t = psi.values - v_values * w
-        res = float(np.sqrt(grid.integrate((Aw + v_values * w - psi.values) ** 2))) / psi_norm
+        z = _multiply_in_k(RadialField(grid, r, POSITION), kM_inv).values
+        rz = grid.integrate(r * z)
+        beta = rz / rz_prev
+        p = z + beta * p
+        kMp = r + beta * kMp
+        Ap = kMp + v_values * p
+        alpha = rz / grid.integrate(p * Ap)
+        w = w + alpha * p
+        r = r - alpha * Ap
+        res = rel_norm(r)
         if res <= tol:
-            return RadialField(grid, w, POSITION), LinearSolveReport(it - 1, res, True)
-        if res > prev_res * (1.0 + 1e-12):
-            omega = max(omega * 0.5, MIN_DAMPING)
-        prev_res = res
-        step = kM_inv(t)
-        w = (1.0 - omega) * w + omega * step
-        Aw = (1.0 - omega) * Aw + omega * t
-        if it % 64 == 0:
-            Aw = kM(w)
-    return RadialField(grid, w, POSITION), LinearSolveReport(max_iter, res, False)
+            return w, LinearSolveReport(it, res, True)
+        rz_prev = rz
+    return w, LinearSolveReport(max_iter, res, False)
 
 
 def apply_Ke(psi: RadialField, e: float, v: Potential, tol: float = DEFAULT_TOL,
              max_iter: int = MAX_ITER,
              x0: np.ndarray | None = None) -> tuple[RadialField, LinearSolveReport]:
-    """K_e psi = (-Delta + v + 4e)^-1 psi by damped fixed point through G_e."""
+    """K_e psi = (-Delta + v + 4e)^-1 psi by conjugate gradients preconditioned
+    with G_e; ``x0`` warm-starts the iteration."""
     if e <= 0:
         raise ConfigurationError("apply_Ke needs e > 0")
-    out, report = _damped_richardson(
-        psi, v.samples.values, psi.grid.k**2 + 4.0 * e, tol, max_iter, "K_e", x0=x0
+    out, report = _preconditioned_cg(
+        psi, v.samples.values, psi.grid.k**2 + 4.0 * e, tol, max_iter, x0=x0
     )
-    vals = _warn_ringing(out.values, psi.values, "K_e")
+    vals = _warn_ringing(out, psi.values, "K_e")
     return RadialField(psi.grid, vals, POSITION), report
 
 
 def apply_frakKe(psi: RadialField, ctx: OperatorContext, tol: float = DEFAULT_TOL,
                  max_iter: int = MAX_ITER) -> tuple[RadialField, LinearSolveReport]:
-    """fK_e psi by damped fixed point through Y_e (resolvent identity)."""
-    out, report = _damped_richardson(
-        psi, ctx.v.samples.values, ctx.multiplier(), tol, max_iter, "fK_e"
+    """fK_e psi by conjugate gradients preconditioned with Y_e."""
+    out, report = _preconditioned_cg(
+        psi, ctx.v.samples.values, ctx.multiplier(), tol, max_iter
     )
-    vals = _warn_ringing(out.values, psi.values, "fK_e")
+    vals = _warn_ringing(out, psi.values, "fK_e")
     return RadialField(psi.grid, vals, POSITION), report
 
 
@@ -203,17 +208,13 @@ def frakKe_l2_bound(e: float) -> float:
     return (2.0 * e) ** (-0.25) / np.pi
 
 
-def xi_field(ctx: OperatorContext, rho_u: RadialField) -> RadialField:
-    """xi = Y_e(rho u); flat at the value sqrt(2e)/(3 pi^2) as e -> 0."""
-    return apply_Ye(rho_u, ctx)
-
-
 def xi_flatness(ctx: OperatorContext, rho_u: RadialField,
                 radii=(0.1, 1.0, 10.0)) -> dict:
-    """Relative deviation of xi from its small-e constant at probe radii."""
+    """Relative deviation of xi = Y_e(rho u) from its small-e constant
+    sqrt(2e)/(3 pi^2) at probe radii."""
     from .grids import evaluate
 
-    xi = xi_field(ctx, rho_u)
+    xi = apply_Ye(rho_u, ctx)
     target = np.sqrt(2.0 * ctx.e) / (3.0 * np.pi**2)
     deviations = {}
     for r in radii:

@@ -4,8 +4,8 @@ from scipy.integrate import quad
 
 from bosegas import (InvariantViolation, FREQUENCY, POSITION, RadialField,
                      apply_frakKe, apply_Ge, apply_Ke, apply_Ye, evaluate,
-                     fourier_radial, gaussian_potential, make_grid,
-                     symmetry_check, xi_flatness)
+                     fourier_radial, gaussian_potential, inverse_fourier_radial,
+                     make_grid, symmetry_check, xi_flatness)
 from bosegas.operators import OperatorContext, frakKe_l2_bound
 from bosegas.solver import SolverConfig, solve_fixed_e
 
@@ -23,6 +23,15 @@ def Ge_kernel_oracle(r0, e, profile, upper=30.0):
     val, _ = quad(lambda s: 2 * np.pi / r0 * s * profile(s) * shell(s),
                   0.0, upper, limit=200)
     return val
+
+
+def forward_residual(w, psi, multiplier, v_values):
+    """||(kM + v) w - psi|| / ||psi||, kM applied by an independent transform pair."""
+    w_hat = fourier_radial(w)
+    kMw = inverse_fourier_radial(
+        RadialField(w.grid, w_hat.values * multiplier, FREQUENCY))
+    r = kMw.values + v_values * w.values - psi.values
+    return np.sqrt(w.grid.integrate(r * r)) / psi.norm_l2()
 
 
 class TestGe:
@@ -63,6 +72,24 @@ class TestKe:
             out, report = apply_Ke(psi, 0.5, gauss_small, tol=1e-10)
             assert report.converged
             assert report.final_residual <= 1e-8
+
+    def test_true_forward_residual(self, gauss_small, grid_small):
+        multiplier = grid_small.k**2 + 4.0 * 0.5
+        for bump in gaussian_bumps(grid_small, seed=3, count=4):
+            psi = RadialField(grid_small, bump, POSITION)
+            out, report = apply_Ke(psi, 0.5, gauss_small, tol=1e-10)
+            assert report.converged
+            assert forward_residual(out, psi, multiplier,
+                                    gauss_small.samples.values) <= 1e-9
+
+    def test_warm_start_from_converged_output(self, gauss_small, grid_small):
+        psi = RadialField(grid_small, np.exp(-grid_small.r**2), POSITION)
+        cold, _ = apply_Ke(psi, 0.5, gauss_small, tol=1e-10)
+        warm, report = apply_Ke(psi, 0.5, gauss_small, tol=1e-10,
+                                x0=cold.values)
+        assert report.converged
+        assert report.iterations <= 1
+        np.testing.assert_allclose(warm.values, cold.values, rtol=0, atol=1e-10)
 
     def test_dominated_by_Ge(self, gauss_small, grid_small):
         psi = RadialField(grid_small, np.exp(-grid_small.r**2), POSITION)
@@ -106,7 +133,6 @@ class TestYe:
         psi_hat = fourier_radial(psi)
         forward = RadialField(state_gauss.grid,
                               psi_hat.values * ctx.multiplier(), FREQUENCY)
-        from bosegas import inverse_fourier_radial
         back = apply_Ye(inverse_fourier_radial(forward), ctx)
         np.testing.assert_allclose(back.values, psi.values, atol=1e-12)
 
@@ -157,6 +183,25 @@ class TestFrakKe:
         assert report.converged
         np.testing.assert_allclose(out.values, apply_Ye(psi, ctx).values,
                                    atol=1e-12)
+
+    def test_true_forward_residual(self, state_gauss):
+        ctx = state_gauss.context
+        g = state_gauss.grid
+        payloads = [state_gauss.potential.samples, state_gauss.u,
+                    RadialField(g, np.exp(-(g.r - 1.0) ** 2), POSITION)]
+        for psi in payloads:
+            out, report = apply_frakKe(psi, ctx, tol=1e-10)
+            assert report.converged
+            assert forward_residual(out, psi, ctx.multiplier(),
+                                    ctx.v.samples.values) <= 1e-9
+
+    def test_iterations_on_v(self, state_gauss):
+        # fK_e v at the production tolerance takes 6 CG iterations
+        _, report = apply_frakKe(state_gauss.potential.samples,
+                                 state_gauss.context,
+                                 tol=state_gauss.config.inner_tol)
+        assert report.converged
+        assert report.iterations <= 8
 
     def test_kv_range(self, state_gauss):
         kv = state_gauss.frakKe_v().values
