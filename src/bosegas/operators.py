@@ -33,7 +33,9 @@ POSITIVITY_SLACK = 1e-10
 @dataclass(frozen=True)
 class LinearSolveReport:
     """One K_e/fK_e solve; ``final_residual`` is the relative forward residual
-    ||psi - A w|| / ||psi|| carried by the CG recurrence, not recomputed."""
+    ||psi - A w|| / ||psi|| carried by the CG recurrence, not recomputed.
+    The recomputed residual floors at about 2e-12 from transform round-off,
+    so a reported value below that is the recurrence's estimate only."""
 
     iterations: int
     final_residual: float

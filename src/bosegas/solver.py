@@ -19,16 +19,19 @@ O(1/r_max) tail. Integrals of u carry a tail-and-image correction whose
 leading coefficient comes from the exact small-k form of rho*uhat:
 rho*uhat = 1 - sqrt(2+beta) kappa + O(kappa^2) with
 beta = -(rho/4e) d^2/dkappa^2 Shat(0) = (rho/3) int |x|^2 S dx, giving
-rho u ~ sqrt(2+beta)/(2 pi^2 sqrt(e)) r^-4.
+rho u ~ sqrt(2+beta)/(2 pi^2 sqrt(e)) r^-4. The grid's odd-periodization
+images of that tail are Hurwitz zeta values, built once per grid (n, r_max).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import zeta
 
 from .errors import ConfigurationError, ConvergenceError, InvariantViolation
 from .grids import (FREQUENCY, POSITION, RadialField, RadialGrid, auto_r_max,
@@ -41,11 +44,6 @@ MONOTONE = "real_space_monotone"
 CROSS_VALIDATED = "cross_validated"
 _SCHEMES = (FOURIER, MONOTONE, CROSS_VALIDATED)
 
-# Image corrections sum this many reflections of the tail model about the
-# grid boundary. Pointwise the images die like l^-3, but their r^2-weighted
-# mass only like l^-4, so the integral corrections need a few dozen terms.
-_N_IMAGES = 32
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -56,6 +54,8 @@ class SolverConfig:
     max_outer: int = 500
     scheme: str = FOURIER
     inner_tol: float = 1e-12
+    """Relative residual of each K_e/fK_e solve. The recomputed residual floors
+    near 2e-12; below that, ``final_residual`` is the CG recurrence's estimate."""
     inner_max_iter: int = 10_000
     warm_start: bool = True             # continuation across sweep rows
 
@@ -79,10 +79,6 @@ class TailModel:
     c4: float
     c6: float
     window: tuple[float, float]
-
-    def profile(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.c4 / r**4 + self.c6 / r**6
 
     def tail_integral(self, r_max: float) -> float:
         """int_{r_max}^inf 4 pi r^2 (c4/r^4 + c6/r^6) dr."""
@@ -183,28 +179,43 @@ class SolutionState:
 # tail machinery
 # ---------------------------------------------------------------------------
 
-def _image_sum(r: np.ndarray, r_max: float, power: float, n_images: int = _N_IMAGES):
-    """Boundary images of s -> s^-power under odd periodization of s^(1-power)."""
-    out = np.zeros_like(r)
-    for l in range(1, n_images + 1):
-        out += ((2 * l * r_max + r) ** (1.0 - power)
-                - (2 * l * r_max - r) ** (1.0 - power)) / r
-    return out
+def _image_sum(r, r_max: float, power: float):
+    """Boundary images of s -> s^-power under odd periodization of s^(1-power):
+    sum_{l>=1} [(2lR+r)^-q - (2lR-r)^-q]/r = (2R)^-q [zeta(q, 1+x) - zeta(q, 1-x)]/r
+    with q = power - 1, x = r/2R and the Hurwitz zeta function (DLMF 25.11)."""
+    q = power - 1.0
+    x = r / (2.0 * r_max)
+    return (2.0 * r_max) ** (-q) * (zeta(q, 1.0 + x) - zeta(q, 1.0 - x)) / r
 
 
-def _tail_basis(r: np.ndarray, r_max: float, power: float) -> np.ndarray:
-    """s^-power plus its boundary images (what the grid actually sees)."""
-    return r ** (-power) + _image_sum(r, r_max, power)
+@lru_cache(maxsize=4)
+def _grid_images(grid: RadialGrid):
+    """Read-only images of r^-4 and r^-6 at the nodes, and their integrals; built
+    on first tail use and shared by every grid with the same (n, r_max). The
+    images cancel the model at r_max, so the integrals restore its trapezoid weight."""
+    R = grid.r_max
+    fields = np.stack([_image_sum(grid.r, R, p) for p in (4.0, 6.0)])
+    mass = np.array([grid.integrate(f) + 2.0 * np.pi * grid.dr * R**2 * _image_sum(R, R, p)
+                     for f, p in zip(fields, (4.0, 6.0))])
+    fields.flags.writeable = False
+    mass.flags.writeable = False
+    return fields, mass
 
 
-def _s_tail_coefficients(v: Potential, s_values: np.ndarray, grid: RadialGrid):
-    """Fit S ~ c1 r^-p + c2 r^-(p+2) over the trailing half-decade."""
-    p = v.tail_power
-    sel = grid.r >= 0.5 * grid.r_max
+def _fit_c6(values: np.ndarray, grid: RadialGrid, c4: float,
+            window: tuple[float, float]) -> float:
+    """Least-squares r^-6 amplitude of ``values - c4 r^-4`` over ``window``,
+    both basis functions carrying their boundary images; 0 if the window is
+    too short to fit."""
+    lo, hi = window
+    sel = slice(np.searchsorted(grid.r, lo), np.searchsorted(grid.r, hi, side="right"))
+    if hi <= 1.3 * lo or sel.stop - sel.start < 8:
+        return 0.0
+    fields, _ = _grid_images(grid)
     r = grid.r[sel]
-    design = np.column_stack([r ** (-p), r ** (-p - 2.0)])
-    coef, *_ = np.linalg.lstsq(design, s_values[sel], rcond=None)
-    return float(coef[0]), float(coef[1])
+    resid = values[sel] - c4 * (r**-4.0 + fields[0, sel])
+    basis6 = r**-6.0 + fields[1, sel]
+    return float(np.dot(basis6, resid) / np.dot(basis6, basis6))
 
 
 def _s_moment(v: Potential, s_values: np.ndarray, grid: RadialGrid, weight_power: int) -> float:
@@ -215,7 +226,11 @@ def _s_moment(v: Potential, s_values: np.ndarray, grid: RadialGrid, weight_power
     p = v.tail_power
     if p - 2.0 - weight_power <= 1.0:
         return np.inf
-    c1, c2 = _s_tail_coefficients(v, s_values, grid)
+    # S ~ c1 r^-p + c2 r^-(p+2), fitted over the trailing half-decade
+    sel = grid.r >= 0.5 * grid.r_max
+    r = grid.r[sel]
+    (c1, c2), *_ = np.linalg.lstsq(np.column_stack([r ** (-p), r ** (-p - 2.0)]),
+                                   s_values[sel], rcond=None)
     R = grid.r_max
     q1 = p - 3.0 - weight_power
     q2 = p - 1.0 - weight_power
@@ -232,33 +247,16 @@ def fit_tail_model(u_values: np.ndarray, grid: RadialGrid, e: float, rho: float,
     images the grid solution actually contains.
     """
     c4 = np.sqrt(2.0 + beta_curvature) / (2.0 * np.pi**2 * np.sqrt(e) * rho)
-    R = grid.r_max
-    lo = max(0.25 * R, 10.0 / np.sqrt(e))
-    hi = 0.6 * R
-    sel = (grid.r >= lo) & (grid.r <= hi)
-    if hi <= 1.3 * lo or np.count_nonzero(sel) < 8:
-        return TailModel(c4=c4, c6=0.0, window=(lo, hi))
-    r = grid.r[sel]
-    resid = u_values[sel] - c4 * _tail_basis(r, R, 4.0)
-    basis6 = _tail_basis(r, R, 6.0)
-    c6 = float(np.dot(basis6, resid) / np.dot(basis6, basis6))
-    return TailModel(c4=c4, c6=c6, window=(lo, hi))
+    window = (max(0.25 * grid.r_max, 10.0 / np.sqrt(e)), 0.6 * grid.r_max)
+    return TailModel(c4=c4, c6=_fit_c6(u_values, grid, c4, window), window=window)
 
 
 def corrected_field_integral(values: np.ndarray, grid: RadialGrid, tail: TailModel) -> float:
     """int f d^3x for a grid field that is the odd-periodization of a
     function behaving like the tail model beyond the grid."""
-    base = grid.integrate(values)
-    image4 = _image_sum(grid.r, grid.r_max, 4.0)
-    image6 = _image_sum(grid.r, grid.r_max, 6.0)
-    image_mass = grid.integrate(tail.c4 * image4 + tail.c6 * image6)
-    # the image functions do not vanish at r_max (they cancel the model
-    # there), so the zero-endpoint trapezoid needs the boundary weight back
-    R = np.array([grid.r_max])
-    img_R = float(tail.c4 * _image_sum(R, grid.r_max, 4.0)[0]
-                  + tail.c6 * _image_sum(R, grid.r_max, 6.0)[0])
-    image_mass += 2.0 * np.pi * grid.dr * grid.r_max**2 * img_R
-    return base - image_mass + tail.tail_integral(grid.r_max)
+    _, mass = _grid_images(grid)
+    image_mass = tail.c4 * mass[0] + tail.c6 * mass[1]
+    return grid.integrate(values) - image_mass + tail.tail_integral(grid.r_max)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +267,15 @@ def _constraint_integral(v: Potential, u_values: np.ndarray, grid: RadialGrid) -
     """int (1-u) v dx, with the algebraic tail of v restored when present."""
     s_values = (1.0 - u_values) * v.samples.values
     return _s_moment(v, s_values, grid, 0)
+
+
+def _density(e: float, s0: float, history: list) -> float:
+    """rho = 2e / s0; an s0 = int (1-u) v that is not positive fails the iterate."""
+    if not s0 > 0.0:
+        raise ConvergenceError(
+            f"constraint integral int (1-u) v = {s0:.3e} is not positive; the "
+            "iterate overshot u = 1 on the support of v", history=history)
+    return 2.0 * e / s0
 
 
 def _fourier_iteration(v: Potential, e: float, config: SolverConfig, grid: RadialGrid,
@@ -288,8 +295,7 @@ def _fourier_iteration(v: Potential, e: float, config: SolverConfig, grid: Radia
             # transient u > 1 overshoot; clamped S keeps the radicand safe
             s_vals = np.where(neg, 0.0, s_vals)
         s_hat = fourier_radial(RadialField(grid, s_vals, POSITION))
-        s0 = _s_moment(v, s_vals, grid, 0)
-        rho = 2.0 * e / s0
+        rho = _density(e, _s_moment(v, s_vals, grid, 0), history)
         y = rho / (2.0 * e) * s_hat.values
         radicand = a * a - y
         bad = radicand < -1e-12 * a * a
@@ -327,9 +333,9 @@ def _monotone_iteration(v: Potential, e: float, config: SolverConfig, grid: Radi
     """Pointwise-increasing real-space construction from u_0 = 0."""
     v_field = v.samples
     u = np.zeros(grid.n) if u0 is None else u0.copy()
-    rho = 2.0 * e / _constraint_integral(v, u, grid)
-    monotone = True
     history = []
+    rho = _density(e, _constraint_integral(v, u, grid), history)
+    monotone = True
     inner_guess = None
     for it in range(1, config.max_outer + 1):
         u_field = RadialField(grid, u, POSITION)
@@ -350,7 +356,7 @@ def _monotone_iteration(v: Potential, e: float, config: SolverConfig, grid: Radi
         if np.min(u_next.values - u) < -1e-9:
             monotone = False
         u = u_next.values
-        rho_new = 2.0 * e / _constraint_integral(v, u, grid)
+        rho_new = _density(e, _constraint_integral(v, u, grid), history)
         if rho_new < rho - 1e-9 * rho:
             monotone = False
         rho = rho_new
@@ -521,17 +527,8 @@ def u_prime_integral(state: SolutionState, uprime: RadialField,
     log_deriv = (beta_p / (2.0 * (2.0 + beta)) - 1.0 / (2.0 * state.e)
                  - rho_prime_value / state.rho)
     c4p = state.tail.c4 * log_deriv
-    R = grid.r_max
-    lo, hi = state.tail.window
-    sel = (grid.r >= lo) & (grid.r <= hi)
-    if np.count_nonzero(sel) >= 8:
-        r = grid.r[sel]
-        resid = uprime.values[sel] - c4p * _tail_basis(r, R, 4.0)
-        basis6 = _tail_basis(r, R, 6.0)
-        c6p = float(np.dot(basis6, resid) / np.dot(basis6, basis6))
-    else:
-        c6p = 0.0
-    return corrected_field_integral(uprime.values, grid, TailModel(c4p, c6p, (lo, hi)))
+    c6p = _fit_c6(uprime.values, grid, c4p, state.tail.window)
+    return corrected_field_integral(uprime.values, grid, TailModel(c4p, c6p, state.tail.window))
 
 
 def rho_prime_fd(v: Potential, state: SolutionState, rel_step: float = 1e-4) -> float:

@@ -78,6 +78,14 @@ class TestRunModes:
         assert cli.main(["--mode", "solve", "--potential", "gaussian",
                          "--amp", "1", "--width", "1", "--e", "1"]) == 3
 
+    def test_strong_potential_exits_with_package_error(self, tmp_path, capsys):
+        # the iterate reaches u = 1 on the support of v, so int (1-u) v = 0
+        code = main(["--mode", "solve", "--potential", "gaussian", "--amp", "10000",
+                     "--width", "1", "--e", "0.01", "--grid-n", "4095",
+                     "--out", str(tmp_path / "strong")])
+        assert code in (3, 4)
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_sweep_single_row_warns(self, tmp_path, capsys):
         code = main(["--mode", "sweep", "--potential", "gaussian", "--amp", "1",
                      "--width", "1", "--e-min", "0.3", "--e-max", "0.3",

@@ -195,6 +195,15 @@ class TestFrakKe:
             assert forward_residual(out, psi, ctx.multiplier(),
                                     ctx.v.samples.values) <= 1e-9
 
+    def test_true_residual_at_default_inner_tol(self, state_gauss):
+        # the recurrence reports far below inner_tol; the recomputed residual
+        # floors near 2e-12, which SolverConfig.inner_tol documents
+        ctx = state_gauss.context
+        out, report = apply_frakKe(state_gauss.u, ctx, tol=SolverConfig().inner_tol)
+        assert report.converged
+        assert forward_residual(out, state_gauss.u, ctx.multiplier(),
+                                ctx.v.samples.values) <= 1e-11
+
     def test_iterations_on_v(self, state_gauss):
         # fK_e v at the production tolerance takes 6 CG iterations
         _, report = apply_frakKe(state_gauss.potential.samples,

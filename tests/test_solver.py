@@ -6,7 +6,9 @@ from bosegas import (ConfigurationError, CROSS_VALIDATED, MONOTONE,
                      explicit_potential, rho_prime, rho_prime_fd,
                      solve_fixed_e, solve_fixed_rho, sweep, u_prime,
                      u_prime_integral)
-from bosegas.solver import _fourier_iteration, _monotone_iteration
+from bosegas.grids import make_grid
+from bosegas.solver import (_fourier_iteration, _grid_images, _image_sum,
+                            _monotone_iteration)
 
 
 class TestSolveFixedE:
@@ -168,6 +170,10 @@ class TestSweep:
         an = record.column("rho_prime_analytic")[1:-1]
         np.testing.assert_allclose(an, fd, rtol=0.02)
 
+    def test_warm_started_sweep_normalization(self, gauss_small):
+        record = sweep(gauss_small, np.geomspace(0.05, 0.3, 4), SolverConfig(n=4095))
+        assert all(row.state.normalization_defect() <= 1e-6 for row in record.rows)
+
     def test_rejects_unsorted_e(self, gauss_small):
         with pytest.raises(ConfigurationError):
             sweep(gauss_small, [0.3, 0.1], SolverConfig(n=2047, r_max=60.0))
@@ -198,3 +204,38 @@ class TestUnderResolution:
         state = solve_fixed_e(v, 1.0, config)
         with pytest.raises(InvariantViolation):
             state.require_invariants()
+
+
+def brute_force_images(r, r_max, power, n_images=2000):
+    """The odd-periodization image sum, term by term."""
+    out = np.zeros_like(r)
+    for l in range(1, n_images + 1):
+        out += ((2 * l * r_max + r) ** (1.0 - power)
+                - (2 * l * r_max - r) ** (1.0 - power)) / r
+    return out
+
+
+class TestTailImages:
+    def test_closed_form_matches_brute_force_sum(self):
+        grid = make_grid(255, 30.0)
+        r = np.append(grid.r, grid.r_max)
+        for power in (4.0, 6.0):
+            np.testing.assert_allclose(_image_sum(r, grid.r_max, power),
+                                       brute_force_images(r, grid.r_max, power),
+                                       rtol=1e-9, atol=0.0)
+
+    def test_built_lazily_once_per_grid_and_read_only(self, gauss_small):
+        config = SolverConfig(n=2047, r_max=61.0)
+        _grid_images.cache_clear()
+        v = gauss_small.resampled(config.grid_for(0.5))
+        assert _grid_images.cache_info().currsize == 0
+        first = solve_fixed_e(v, 0.5, config)
+        misses = _grid_images.cache_info().misses
+        second = solve_fixed_e(v, 0.5, config, u0=first.u)
+        assert second.grid is not first.grid
+        assert _grid_images.cache_info().misses == misses == 1
+        fields, mass = _grid_images(second.grid)
+        assert fields is _grid_images(first.grid)[0]
+        assert not fields.flags.writeable and not mass.flags.writeable
+        with pytest.raises(ValueError):
+            fields[0, 0] = 0.0
