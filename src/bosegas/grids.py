@@ -152,7 +152,7 @@ def convolve(f: RadialField, g: RadialField) -> RadialField:
     if f.grid is not g.grid and (f.grid.n != g.grid.n or f.grid.r_max != g.grid.r_max):
         raise GridMismatchError("convolve requires both fields on the same grid")
     fhat = fourier_radial(f)
-    ghat = fourier_radial(g)
+    ghat = fhat if g is f else fourier_radial(g)
     return inverse_fourier_radial(
         RadialField(f.grid, fhat.values * ghat.values, FREQUENCY)
     )

@@ -124,8 +124,8 @@ class Potential:
         return scattering_length(self)
 
     def resampled(self, grid: RadialGrid) -> "Potential":
-        """Same physical potential on a different grid."""
-        if grid is self.grid:
+        """Same physical potential on another grid; itself on an equal one."""
+        if grid == self.grid:
             return self
         return Potential(
             name=self.name, profile=self.profile, grid=grid, params=dict(self.params),

@@ -14,6 +14,10 @@ Two schemes converge to the same discrete fixed point:
   rho_n = 2e / int (1-u_n) v, starting from u_0 = 0. Iterates increase
   pointwise toward the solution.
 
+The k-space map u -> G(u) is iterated by type-II Anderson mixing of depth
+``_ANDERSON_DEPTH``, restarted when max|G(u) - u| grows; its fixed point is
+unchanged. A solve keeps its potential's grid when it equals the config's.
+
 Solutions decay like r^-4, so plain grid quadrature of int u misses an
 O(1/r_max) tail. Integrals of u carry a tail-and-image correction whose
 leading coefficient comes from the exact small-k form of rho*uhat:
@@ -43,6 +47,7 @@ FOURIER = "fourier_self_consistent"
 MONOTONE = "real_space_monotone"
 CROSS_VALIDATED = "cross_validated"
 _SCHEMES = (FOURIER, MONOTONE, CROSS_VALIDATED)
+_ANDERSON_DEPTH = 2     # past differences mixed by the k-space iteration
 
 
 @dataclass(frozen=True)
@@ -280,13 +285,23 @@ def _density(e: float, s0: float, history: list) -> float:
 
 def _fourier_iteration(v: Potential, e: float, config: SolverConfig, grid: RadialGrid,
                        u0: np.ndarray | None):
-    """Self-consistent k-space iteration; returns (u, rho, iterations, history)."""
+    """Self-consistent k-space iteration; returns (u, rho, iterations, history).
+
+    Type-II Anderson mixing (Walker & Ni 2011) of the closed-form map G: the
+    next iterate is G(u) - dG gamma, where gamma fits f = G(u) - u in least
+    squares by the last ``_ANDERSON_DEPTH`` differences of f, dG holds those
+    of G; when max|f| grows the history restarts from its newest difference.
+    The fixed point is that of u = G(u); stops at max|f| <= outer_tol and
+    returns G(u) and its rho.
+    """
     kappa2 = grid.k**2 / (4.0 * e)
     a = kappa2 + 1.0
     v_vals = v.samples.values
-    u = np.zeros(grid.n) if u0 is None else u0.copy()
-    omega = 1.0
-    prev_delta = np.inf
+    u = np.zeros(grid.n) if u0 is None else u0
+    d_f = np.empty((_ANDERSON_DEPTH, grid.n))
+    d_g = np.empty_like(d_f)
+    f_prev = g_prev = None
+    filled = 0          # differences stored since the last restart
     history = []
     for it in range(1, config.max_outer + 1):
         s_vals = (1.0 - u) * v_vals
@@ -310,17 +325,25 @@ def _fourier_iteration(v: Potential, e: float, config: SolverConfig, grid: Radia
         # a - sqrt(a^2 - y) cancels catastrophically at large k; this form
         # keeps full relative precision in the spectral tail
         rho_u_hat = y / (a + np.sqrt(radicand))
-        u_new = inverse_fourier_radial(
+        g = inverse_fourier_radial(
             RadialField(grid, rho_u_hat / rho, FREQUENCY)
         ).values
-        delta = float(np.max(np.abs(u_new - u)))
+        f = g - u
+        delta = float(np.max(np.abs(f)))
         history.append(delta)
-        if delta > prev_delta * (1.0 + 1e-12):
-            omega = max(0.5 * omega, 1.0 / 16.0)
-        prev_delta = delta
-        u = (1.0 - omega) * u + omega * u_new
         if delta <= config.outer_tol:
-            return u, rho, it, history
+            return g, rho, it, history
+        u = g
+        if f_prev is not None:
+            filled = 1 if delta > history[-2] else filled + 1
+            slot = (filled - 1) % _ANDERSON_DEPTH
+            np.subtract(f, f_prev, out=d_f[slot])
+            np.subtract(g, g_prev, out=d_g[slot])
+            depth = min(filled, _ANDERSON_DEPTH)
+            gram = d_f[:depth] @ d_f[:depth].T
+            gamma = np.linalg.lstsq(gram, d_f[:depth] @ f, rcond=None)[0]
+            u = g - gamma @ d_g[:depth]
+        f_prev, g_prev = f, g
     raise ConvergenceError(
         f"k-space iteration did not reach {config.outer_tol} in "
         f"{config.max_outer} iterations (last delta {history[-1]:.3e})",
@@ -390,7 +413,8 @@ def _build_state(v: Potential, e: float, config: SolverConfig, grid: RadialGrid,
     tail_mass = rho * tail.tail_integral(grid.r_max)
 
     # PDE residual with the Laplacian applied spectrally
-    conv = convolve(u, u)
+    conv = inverse_fourier_radial(
+        RadialField(grid, u_hat_plain.values * u_hat_plain.values, FREQUENCY))
     lap4e = inverse_fourier_radial(
         RadialField(grid, (grid.k**2 + 4.0 * e) * u_hat_plain.values, FREQUENCY)
     )
@@ -421,11 +445,11 @@ def solve_fixed_e(v: Potential, e: float, config: SolverConfig | None = None,
     if e <= 0:
         raise ConfigurationError("solve_fixed_e needs e > 0")
     config = config or SolverConfig()
-    grid = config.grid_for(e)
-    v = v.resampled(grid)
+    v = v.resampled(config.grid_for(e))
+    grid = v.grid
     u0_values = None
     if u0 is not None:
-        if u0.grid.n != grid.n or u0.grid.r_max != grid.r_max:
+        if u0.grid != grid:
             raise ConfigurationError("warm start field lives on a different grid")
         u0_values = u0.values
 
@@ -535,6 +559,7 @@ def rho_prime_fd(v: Potential, state: SolutionState, rel_step: float = 1e-4) -> 
     """Centered finite difference of rho(e), warm-started from the state."""
     de = rel_step * state.e
     cfg = replace(state.config, r_max=state.grid.r_max)
+    v = v.resampled(state.grid)
     hi = solve_fixed_e(v, state.e + de, cfg, u0=state.u)
     lo = solve_fixed_e(v, state.e - de, cfg, u0=state.u)
     return float((hi.rho - lo.rho) / (2.0 * de))
@@ -591,8 +616,9 @@ def sweep(v: Potential, e_values, config: SolverConfig | None = None,
     Produces rho, analytic rho', finite-difference rho' (from neighbor rows,
     or dedicated +-1e-4 e solves when ``fd_check``), rho'' by centered
     differencing of the analytic rho' column, the convexity indicator
-    2 rho'^2 - rho rho'', and the e*rho(e) monotonicity flags. Rows that
-    fail to solve are recorded and the sweep continues.
+    2 rho'^2 - rho rho'', and the e*rho(e) monotonicity flags. A row that
+    fails to solve, or whose state breaks ``require_invariants``, records the
+    error (and the state, if any) and the sweep continues.
     """
     e_values = np.asarray(list(e_values), dtype=float)
     if np.any(np.diff(e_values) <= 0):
@@ -605,15 +631,15 @@ def sweep(v: Potential, e_values, config: SolverConfig | None = None,
     rows = []
     u_prev = None
     for e in e_values:
-        row = SweepRow(e=float(e))
+        row = SweepRow(e=float(e), regime=_regime_label(float(e), v))
         try:
             state = solve_fixed_e(v, float(e), cfg,
                                   u0=u_prev if config.warm_start else None)
+            row.state = state
+            state.require_invariants()
             row.rho = state.rho
             row.e_rho = float(e) * state.rho
             row.rho_prime_analytic = rho_prime(state)
-            row.regime = _regime_label(float(e), v)
-            row.state = state
             if fd_check:
                 row.rho_prime_fd = rho_prime_fd(v, state)
             u_prev = state.u
@@ -672,6 +698,7 @@ def solve_fixed_rho(v: Potential, rho_target: float,
     e_hi = rho_target * v1 / 2.0
     grid = config.grid_for(e_lo)
     cfg = replace(config, r_max=grid.r_max)
+    v = v.resampled(grid)
 
     cache: dict[float, SolutionState] = {}
     warm: list = [None]

@@ -149,8 +149,7 @@ class TestBoundAudit:
             v1 / (2 * np.sqrt(np.pi)))
 
     def test_sweep_parmon_row(self, gauss_small):
-        record = sweep(gauss_small, np.geomspace(0.05, 0.3, 4),
-                       SolverConfig(n=2047, r_max=60.0))
+        record = sweep(gauss_small, np.geomspace(0.05, 0.3, 4), SolverConfig(n=4095))
         audit = bound_audit(record.rows[0].state, sweep=record,
                             probe_operator=False)
         assert audit.row("parmon").passed

@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from bosegas import (ConfigurationError, CROSS_VALIDATED, MONOTONE,
+from bosegas import (ConfigurationError, CROSS_VALIDATED, FOURIER, MONOTONE,
                      ExplicitSolutionSpec, InvariantViolation, SolverConfig,
-                     explicit_potential, rho_prime, rho_prime_fd,
-                     solve_fixed_e, solve_fixed_rho, sweep, u_prime,
-                     u_prime_integral)
+                     explicit_potential, gaussian_potential, rho_prime,
+                     rho_prime_fd, solve_fixed_e, solve_fixed_rho, sweep,
+                     u_prime, u_prime_integral)
+from bosegas import solver
 from bosegas.grids import make_grid
+from bosegas.potentials import QualityWarning
 from bosegas.solver import (_fourier_iteration, _grid_images, _image_sum,
                             _monotone_iteration)
 
@@ -16,6 +20,12 @@ class TestSolveFixedE:
         u_exact = explicit_spec.u_profile(state_explicit.grid.r)
         assert np.max(np.abs(state_explicit.u.values - u_exact)) < 1e-8
         assert state_explicit.rho == pytest.approx(explicit_spec.rho, rel=1e-9)
+
+    def test_equal_grid_shares_potential(self, gauss_small):
+        config = SolverConfig(n=2047, r_max=60.0)
+        state = solve_fixed_e(gauss_small, 0.3, config)
+        assert state.grid is gauss_small.grid
+        assert state.potential is gauss_small
 
     def test_invariants_on_converged_states(self, state_explicit, state_gauss):
         for state in (state_explicit, state_gauss):
@@ -68,14 +78,74 @@ class TestSchemes:
         assert abs(rho_f - rho_m) / rho_f < 5e-9
         assert np.max(np.abs(u_f - u_m)) < 1e-8
 
-    def test_fallback_on_stiff_case(self, recwarn):
-        # strong potential at small e: the k-space map is not contractive
+    def test_fallback_on_stiff_case(self):
+        # the first k-space iterate overshoots u = 1 on the whole support of
+        # this strong potential, so the constraint integral vanishes
+        config = SolverConfig(n=4095)
+        v = gaussian_potential(1e4, 1.0, config.grid_for(0.01))
+        with pytest.warns(QualityWarning, match="falling back"):
+            state = solve_fixed_e(v, 0.01, config)
+        assert state.scheme_used.endswith("(fallback)")
+        assert state.monotone_iterates
+
+    def test_stiff_explicit_case_converges_in_kspace(self, recwarn):
+        # the plain fixed point stalls here; Anderson mixing converges
         config = SolverConfig(n=8191, r_max=400.0, max_outer=120)
         v = explicit_potential(ExplicitSolutionSpec(1.0, 0.5, 1.0),
                                config.grid_for(0.01))
         state = solve_fixed_e(v, 0.01, config)
-        assert state.scheme_used.endswith("(fallback)")
-        assert state.monotone_iterates
+        assert state.scheme_used == FOURIER
+        assert not [w for w in recwarn if issubclass(w.category, QualityWarning)]
+        crossed = solve_fixed_e(v, 0.01, replace(config, scheme=CROSS_VALIDATED))
+        assert crossed.cross_check <= 1e-6
+        assert crossed.rho == pytest.approx(state.rho, rel=1e-12)
+
+
+class TestAndersonIteration:
+    def test_cold_iteration_count(self, gauss_small):
+        # 13 iterations under the damped fixed point, 6 with Anderson mixing
+        config = SolverConfig(n=2047, r_max=60.0)
+        _, _, iterations, history = _fourier_iteration(
+            gauss_small, 0.3, config, gauss_small.grid, None)
+        assert iterations <= 8
+        assert history[-1] <= config.outer_tol
+
+    def test_warm_fd_resolve_count(self, gauss_small, monkeypatch):
+        # 8 iterations per warm re-solve under the damped fixed point, 5 now
+        config = SolverConfig(n=2047, r_max=60.0)
+        state = solve_fixed_e(gauss_small, 0.3, config)
+        counts = []
+        inner = solver.solve_fixed_e
+
+        def counting(*args, **kwargs):
+            out = inner(*args, **kwargs)
+            counts.append(out.iterations)
+            return out
+
+        monkeypatch.setattr(solver, "solve_fixed_e", counting)
+        rho_prime_fd(gauss_small, state)
+        assert len(counts) == 2
+        assert max(counts) <= 6
+
+    def test_iterate_stays_finite_when_clamp_fires(self, monkeypatch):
+        # u overshoots 1 on the support of v for several steps after the
+        # history fills; the clamped S must keep every mixed iterate finite
+        config = SolverConfig(n=2047)
+        grid = config.grid_for(0.01)
+        v = gaussian_potential(10.0, 1.0, grid)
+        clamped = []
+        inner = solver.fourier_radial
+
+        def recording(f):
+            clamped.append(bool(np.any((f.values == 0.0) & (v.samples.values > 0.0))))
+            return inner(f)
+
+        monkeypatch.setattr(solver, "fourier_radial", recording)
+        u, rho, iterations, history = _fourier_iteration(v, 0.01, config, grid, None)
+        assert any(clamped[2:])          # from iteration 3 on, u is a mixed iterate
+        assert np.all(np.isfinite(u)) and np.isfinite(rho)
+        assert np.all(np.isfinite(history))
+        assert iterations < config.max_outer
 
 
 class TestSolveFixedRho:
@@ -158,8 +228,7 @@ class TestSweep:
         assert np.isnan(row.rho_prime_fd)
 
     def test_small_sweep_columns(self, gauss_small):
-        config = SolverConfig(n=2047, r_max=60.0)
-        record = sweep(gauss_small, np.geomspace(0.05, 0.3, 5), config)
+        record = sweep(gauss_small, np.geomspace(0.05, 0.3, 5), SolverConfig(n=4095))
         assert all(row.error is None for row in record.rows)
         assert all(row.rho_prime_analytic > 0 for row in record.rows)
         assert all(row.e_rho_increasing for row in record.rows)
@@ -169,6 +238,16 @@ class TestSweep:
         fd = record.column("rho_prime_fd")[1:-1]
         an = record.column("rho_prime_analytic")[1:-1]
         np.testing.assert_allclose(an, fd, rtol=0.02)
+
+    def test_under_resolved_rows_are_errors(self, gauss_small):
+        # r_max = 60 is too short for the normalization at the three smallest e
+        config = SolverConfig(n=2047, r_max=60.0)
+        record = sweep(gauss_small, np.geomspace(0.05, 0.3, 5), config)
+        for row in record.rows[:3]:
+            assert row.error is not None and "normalization" in row.error
+            assert row.state.normalization_defect() > 1e-6
+        assert all(row.error is None for row in record.rows[3:])
+        assert record.converged_rows == record.rows[3:]
 
     def test_warm_started_sweep_normalization(self, gauss_small):
         record = sweep(gauss_small, np.geomspace(0.05, 0.3, 4), SolverConfig(n=4095))
@@ -227,11 +306,12 @@ class TestTailImages:
     def test_built_lazily_once_per_grid_and_read_only(self, gauss_small):
         config = SolverConfig(n=2047, r_max=61.0)
         _grid_images.cache_clear()
-        v = gauss_small.resampled(config.grid_for(0.5))
+        v = gauss_small.resampled(make_grid(2047, 61.0))
         assert _grid_images.cache_info().currsize == 0
         first = solve_fixed_e(v, 0.5, config)
         misses = _grid_images.cache_info().misses
-        second = solve_fixed_e(v, 0.5, config, u0=first.u)
+        twin = gauss_small.resampled(make_grid(2047, 61.0))
+        second = solve_fixed_e(twin, 0.5, config, u0=first.u)
         assert second.grid is not first.grid
         assert _grid_images.cache_info().misses == misses == 1
         fields, mass = _grid_images(second.grid)
