@@ -58,18 +58,6 @@ class RadialGrid:
         """3D frequency-space integral int f(k) d^3k / (2 pi)^3."""
         return float(self.dk / (2.0 * np.pi**2) * np.sum(self.k * self.k * values))
 
-    def sine_sum(self, position_values: np.ndarray, k_points: np.ndarray) -> np.ndarray:
-        """Transform evaluated at arbitrary k > 0 by the direct sine sum.
-
-        O(n) per point; used for off-grid wavenumbers.
-        """
-        k_points = np.atleast_1d(np.asarray(k_points, dtype=float))
-        weights = self.r * position_values
-        out = np.empty_like(k_points)
-        for i, kk in enumerate(k_points):
-            out[i] = np.dot(weights, np.sin(kk * self.r))
-        return 4.0 * np.pi * self.dr * out / k_points
-
 
 def make_grid(n: int, r_max: float) -> RadialGrid:
     """Build conjugate radial/wavenumber grids with n interior nodes."""

@@ -18,7 +18,7 @@ from scipy.special import gamma
 
 from .errors import ConvergenceError
 from .grids import POSITION, RadialField
-from .operators import apply_frakKe, frakKe_l2_bound
+from .operators import apply_frakKe, frakKe_l2_bound, require_converged
 from .solver import SolutionState, SweepRecord, rho_prime
 
 LHY_COEFFICIENT_FORMULA = "128/(15 sqrt(pi))"
@@ -36,14 +36,10 @@ def bogolyubov_depletion(rho_a0_cubed: float) -> float:
 
 def _solve_frakKe(state: SolutionState, payload: RadialField, cache_key: str) -> RadialField:
     if cache_key not in state._cache:
-        out, report = apply_frakKe(payload, state.context,
-                                   tol=state.config.inner_tol,
-                                   max_iter=state.config.inner_max_iter)
-        if not report.converged:
-            raise ConvergenceError(
-                f"fK_e solve for {cache_key} stalled at {report.final_residual:.3e}"
-            )
-        state._cache[cache_key] = out
+        state._cache[cache_key] = require_converged(
+            apply_frakKe(payload, state.context, tol=state.config.inner_tol,
+                         max_iter=state.config.inner_max_iter),
+            f"fK_e solve for {cache_key}")
     return state._cache[cache_key]
 
 
@@ -392,11 +388,10 @@ def bound_audit(state: SolutionState, sweep: SweepRecord | None = None,
     if probe_operator:
         worst_ratio = 0.0
         for psi in random_nonneg_fields(grid, count=10, seed=seed):
-            out, report = apply_frakKe(psi, state.context,
-                                       tol=state.config.inner_tol,
-                                       max_iter=state.config.inner_max_iter)
-            if not report.converged:
-                raise ConvergenceError("fK_e probe solve stalled during audit")
+            out = require_converged(
+                apply_frakKe(psi, state.context, tol=state.config.inner_tol,
+                             max_iter=state.config.inner_max_iter),
+                "fK_e probe solve during audit")
             ratio = out.norm_l2() / (frakKe_l2_bound(e) * psi.integral())
             worst_ratio = max(worst_ratio, ratio)
         audit.add("frakKL2", worst_ratio, 1.0,

@@ -119,7 +119,7 @@ def apply_Ye(psi: RadialField, ctx: OperatorContext) -> RadialField:
 
 
 def _preconditioned_cg(psi: RadialField, v_values: np.ndarray, multiplier: np.ndarray,
-                       tol: float, max_iter: int, x0: np.ndarray | None = None):
+                       tol: float, max_iter: int):
     """Solve (kM + v) w = psi, kM diagonal in k with entries ``multiplier``.
 
     Conjugate gradients in the r^2 dr inner product of ``grid.integrate``,
@@ -139,16 +139,9 @@ def _preconditioned_cg(psi: RadialField, v_values: np.ndarray, multiplier: np.nd
     def rel_norm(x):
         return float(np.sqrt(grid.integrate(x * x))) / psi_norm
 
-    if x0 is None:
-        w = np.zeros(grid.n)
-        r = psi.values.copy()
-    else:
-        w = np.array(x0, dtype=float)
-        kMw = _multiply_in_k(RadialField(grid, w, POSITION), multiplier).values
-        r = psi.values - kMw - v_values * w
-    res = rel_norm(r)
-    if res <= tol:
-        return w, LinearSolveReport(0, res, True)
+    w = np.zeros(grid.n)
+    r = psi.values.copy()
+    res = 1.0                  # ||r|| / ||psi|| at w = 0
     p = np.zeros(grid.n)
     kMp = np.zeros(grid.n)
     rz_prev = np.inf           # makes the first beta zero
@@ -169,15 +162,24 @@ def _preconditioned_cg(psi: RadialField, v_values: np.ndarray, multiplier: np.nd
     return w, LinearSolveReport(max_iter, res, False)
 
 
+def require_converged(solved, what: str, history=None):
+    """The output of a ``(values, LinearSolveReport)`` solve; ConvergenceError
+    naming ``what`` if the solve stalled."""
+    out, report = solved
+    if not report.converged:
+        raise ConvergenceError(f"{what} stalled at residual {report.final_residual:.3e}",
+                               history=history)
+    return out
+
+
 def apply_Ke(psi: RadialField, e: float, v: Potential, tol: float = DEFAULT_TOL,
-             max_iter: int = MAX_ITER,
-             x0: np.ndarray | None = None) -> tuple[RadialField, LinearSolveReport]:
+             max_iter: int = MAX_ITER) -> tuple[RadialField, LinearSolveReport]:
     """K_e psi = (-Delta + v + 4e)^-1 psi by conjugate gradients preconditioned
-    with G_e; ``x0`` warm-starts the iteration."""
+    with G_e."""
     if e <= 0:
         raise ConfigurationError("apply_Ke needs e > 0")
     out, report = _preconditioned_cg(
-        psi, v.samples.values, psi.grid.k**2 + 4.0 * e, tol, max_iter, x0=x0
+        psi, v.samples.values, psi.grid.k**2 + 4.0 * e, tol, max_iter
     )
     vals = _warn_ringing(out, psi.values, "K_e")
     return RadialField(psi.grid, vals, POSITION), report
@@ -196,10 +198,8 @@ def apply_frakKe(psi: RadialField, ctx: OperatorContext, tol: float = DEFAULT_TO
 def symmetry_check(phi: RadialField, psi: RadialField, ctx: OperatorContext,
                    tol: float = DEFAULT_TOL) -> float:
     """Relative defect of int phi fK_e psi = int psi fK_e phi (self-adjointness)."""
-    k_psi, rep1 = apply_frakKe(psi, ctx, tol=tol)
-    k_phi, rep2 = apply_frakKe(phi, ctx, tol=tol)
-    if not (rep1.converged and rep2.converged):
-        raise ConvergenceError("fK_e solve in symmetry check did not converge")
+    k_psi = require_converged(apply_frakKe(psi, ctx, tol=tol), "fK_e solve in symmetry check")
+    k_phi = require_converged(apply_frakKe(phi, ctx, tol=tol), "fK_e solve in symmetry check")
     a = ctx.grid.integrate(phi.values * k_psi.values)
     b = ctx.grid.integrate(psi.values * k_phi.values)
     return abs(a - b) / max(abs(a), 1e-300)

@@ -115,11 +115,6 @@ class Potential:
         return float(8.0 * self.norms.v_l2**4 / np.pi**4)
 
     @cached_property
-    def v_hat(self) -> RadialField:
-        from .grids import fourier_radial
-        return fourier_radial(self.samples)
-
-    @cached_property
     def a0(self) -> float:
         return scattering_length(self)
 
@@ -184,13 +179,6 @@ class ExplicitSolutionSpec:
 
     def u_profile(self, r):
         return self.c / (1.0 + (self.b * np.asarray(r)) ** 2) ** 2
-
-    def u_hat_profile(self, k):
-        return np.pi**2 * self.c / self.b**3 * np.exp(-np.asarray(k) / self.b)
-
-    def u_conv_profile(self, r):
-        """(u*u)(r) = 2 pi^2 c^2 / (b^3 (4 + b^2 r^2)^2)."""
-        return 2.0 * np.pi**2 * self.c**2 / (self.b**3 * (4.0 + (self.b * np.asarray(r)) ** 2) ** 2)
 
     def numerator_coefficients(self) -> np.ndarray:
         """Polynomial coefficients (in b^2 x^2) of the potential numerator."""
@@ -380,12 +368,11 @@ def scattering_identity_defect(v: Potential, e: float = 1e-9,
     the truncation bias well under the 1% agreement contract.
     """
     from .grids import make_grid
-    from .operators import apply_Ke
+    from .operators import apply_Ke, require_converged
 
     wide = v.resampled(make_grid(n, r_max))
-    phi, report = apply_Ke(wide.samples, e, wide)
-    if not report.converged:
-        raise ConvergenceError("K_e solve for the scattering cross-check did not converge")
+    phi = require_converged(apply_Ke(wide.samples, e, wide),
+                            "K_e solve for the scattering cross-check")
     lhs = wide.grid.integrate(wide.samples.values * phi.values)
     rhs = -4.0 * np.pi * v.a0 + v.norms.v_l1
     return abs(lhs - rhs) / abs(rhs)

@@ -10,9 +10,10 @@ Two schemes converge to the same discrete fixed point:
   quadratic in rho*uhat(k) whose integrable root is
   rho*uhat = y / (kappa^2+1 + sqrt((kappa^2+1)^2 - y)),
   y = (rho/2e) Shat(k), kappa = k/(2 sqrt(e)), S = (1-u) v.
-* ``real_space_monotone``: u_{n+1} = K_e(v + 2 e rho_n (u_n*u_n)) with
-  rho_n = 2e / int (1-u_n) v, starting from u_0 = 0. Iterates increase
-  pointwise toward the solution.
+* ``real_space_monotone``: monotone Newton on the real-space residual
+  R(u) = v + 2e rho u*u - (-Delta + v + 4e) u, rho = 2e / int (1-u) v, from
+  u_0 = 0. The first step is u_1 = K_e v; each later one costs two CG solves
+  with fK_e^-1 at the iterate. Iterates increase pointwise toward the solution.
 
 The k-space map u -> G(u) is iterated by type-II Anderson mixing of depth
 ``_ANDERSON_DEPTH``, restarted when max|G(u) - u| grows; its fixed point is
@@ -40,7 +41,8 @@ from scipy.special import zeta
 from .errors import ConfigurationError, ConvergenceError, InvariantViolation
 from .grids import (FREQUENCY, POSITION, RadialField, RadialGrid, auto_r_max,
                     convolve, fourier_radial, inverse_fourier_radial, make_grid)
-from .operators import OperatorContext, apply_frakKe, apply_Ke
+from .operators import (OperatorContext, _preconditioned_cg, apply_frakKe, apply_Ke,
+                        require_converged)
 from .potentials import Potential, QualityWarning
 
 FOURIER = "fourier_self_consistent"
@@ -48,6 +50,7 @@ MONOTONE = "real_space_monotone"
 CROSS_VALIDATED = "cross_validated"
 _SCHEMES = (FOURIER, MONOTONE, CROSS_VALIDATED)
 _ANDERSON_DEPTH = 2     # past differences mixed by the k-space iteration
+_STALL_WINDOW = 25      # k-space steps without a new minimum of max|f| before hand-over
 
 
 @dataclass(frozen=True)
@@ -72,9 +75,11 @@ class SolverConfig:
         if self.outer_tol <= 10.0 * self.inner_tol:
             raise ConfigurationError("outer_tol must exceed 10x the inner tolerance")
 
+    def r_max_for(self, e_min: float) -> float:
+        return self.r_max if self.r_max is not None else auto_r_max(e_min, self.r_max_scale)
+
     def grid_for(self, e_min: float) -> RadialGrid:
-        r_max = self.r_max if self.r_max is not None else auto_r_max(e_min, self.r_max_scale)
-        return make_grid(self.n, r_max)
+        return make_grid(self.n, self.r_max_for(e_min))
 
 
 @dataclass(frozen=True)
@@ -135,15 +140,10 @@ class SolutionState:
     def frakKe_v(self) -> RadialField:
         """fK_e v, the workhorse field of every derivative and observable."""
         if "frakKe_v" not in self._cache:
-            out, report = apply_frakKe(
+            self._cache["frakKe_v"] = require_converged(apply_frakKe(
                 self.potential.samples, self.context,
                 tol=self.config.inner_tol, max_iter=self.config.inner_max_iter,
-            )
-            if not report.converged:
-                raise ConvergenceError(
-                    f"fK_e v solve stalled at residual {report.final_residual:.3e}"
-                )
-            self._cache["frakKe_v"] = out
+            ), "fK_e v solve")
         return self._cache["frakKe_v"]
 
     def normalization_defect(self) -> float:
@@ -292,7 +292,8 @@ def _fourier_iteration(v: Potential, e: float, config: SolverConfig, grid: Radia
     squares by the last ``_ANDERSON_DEPTH`` differences of f, dG holds those
     of G; when max|f| grows the history restarts from its newest difference.
     The fixed point is that of u = G(u); stops at max|f| <= outer_tol and
-    returns G(u) and its rho.
+    returns G(u) and its rho, or raises ConvergenceError once max|f| has set
+    no new minimum for ``_STALL_WINDOW`` steps.
     """
     kappa2 = grid.k**2 / (4.0 * e)
     a = kappa2 + 1.0
@@ -333,6 +334,10 @@ def _fourier_iteration(v: Potential, e: float, config: SolverConfig, grid: Radia
         history.append(delta)
         if delta <= config.outer_tol:
             return g, rho, it, history
+        if it - 1 - int(np.argmin(history)) >= _STALL_WINDOW:
+            raise ConvergenceError(
+                f"k-space iteration stalled: no new minimum of max|G(u) - u| in "
+                f"{_STALL_WINDOW} steps (best {min(history):.3e})", history=history)
         u = g
         if f_prev is not None:
             filled = 1 if delta > history[-2] else filled + 1
@@ -351,34 +356,53 @@ def _fourier_iteration(v: Potential, e: float, config: SolverConfig, grid: Radia
     )
 
 
-def _monotone_iteration(v: Potential, e: float, config: SolverConfig, grid: RadialGrid,
-                        u0: np.ndarray | None):
-    """Pointwise-increasing real-space construction from u_0 = 0."""
-    v_field = v.samples
-    u = np.zeros(grid.n) if u0 is None else u0.copy()
+def _monotone_iteration(v: Potential, e: float, config: SolverConfig, grid: RadialGrid):
+    """Monotone Newton (Ortega & Rheinboldt 1970, 13.3) on the real-space system
+    from u_0 = 0; returns (u, rho, iterations, monotone, history).
+
+    The residual R(u) = v + 2e rho u*u - (-Delta + v + 4e) u has the Newton
+    operator A - rho^2 (u*u) int v(.), A = -Delta + v + 4e(1 - C_{rho u}), so by
+    Sherman-Morrison a step solves A a = R and A b = u*u by CG and moves by
+    d = a + c b, c = rho^2 int v a / (1 - rho^2 int v b). At u_0 = 0, A = K_e^-1
+    and b = 0: the first step is u_1 = K_e v. Stops at max|d| <= outer_tol.
+    """
+    v_vals = v.samples.values
+    k2_4e = grid.k**2 + 4.0 * e
     history = []
+
+    def solve(psi, multiplier, what):
+        return require_converged(_preconditioned_cg(
+            RadialField(grid, psi, POSITION), v_vals, multiplier, config.inner_tol,
+            config.inner_max_iter), f"Newton solve for {what} on step {it}", history)
+
+    d = require_converged(apply_Ke(v.samples, e, v, tol=config.inner_tol,
+                                   max_iter=config.inner_max_iter), "K_e v solve").values
+    u = np.zeros(grid.n)
     rho = _density(e, _constraint_integral(v, u, grid), history)
     monotone = True
-    inner_guess = None
     for it in range(1, config.max_outer + 1):
-        u_field = RadialField(grid, u, POSITION)
-        conv = convolve(u_field, u_field)
-        rhs = RadialField(grid, v_field.values + 2.0 * e * rho * conv.values, POSITION)
-        u_next, report = apply_Ke(
-            rhs, e, v, tol=config.inner_tol, max_iter=config.inner_max_iter,
-            x0=inner_guess,
-        )
-        if not report.converged:
-            raise ConvergenceError(
-                f"inner K_e solve stalled at residual {report.final_residual:.3e} "
-                f"on outer iteration {it}"
-            )
-        inner_guess = u_next.values
-        delta = float(np.max(np.abs(u_next.values - u)))
+        if it > 1:
+            u_hat = fourier_radial(RadialField(grid, u, POSITION)).values
+            conv = inverse_fourier_radial(RadialField(grid, u_hat * u_hat, FREQUENCY)).values
+            lap4e = inverse_fourier_radial(RadialField(grid, k2_4e * u_hat, FREQUENCY)).values
+            multiplier = k2_4e - 4.0 * e * rho * u_hat
+            if not np.all(multiplier > 0.0):
+                raise ConvergenceError(
+                    f"Newton multiplier k^2 + 4e(1 - rho uhat) reached "
+                    f"{np.min(multiplier):.3e} on step {it}", history=history)
+            a = solve(v_vals + 2.0 * e * rho * conv - lap4e - v_vals * u, multiplier, "a")
+            b = solve(conv, multiplier, "b")
+            denominator = 1.0 - rho**2 * _s_moment(v, v_vals * b, grid, 0)
+            if not denominator > 0.0:
+                raise ConvergenceError(
+                    f"Newton denominator 1 - rho^2 int v b = {denominator:.3e} is not "
+                    f"positive on step {it}", history=history)
+            d = a + rho**2 * _s_moment(v, v_vals * a, grid, 0) / denominator * b
+        delta = float(np.max(np.abs(d)))
         history.append(delta)
-        if np.min(u_next.values - u) < -1e-9:
+        if np.min(d) < -1e-9:
             monotone = False
-        u = u_next.values
+        u = u + d
         rho_new = _density(e, _constraint_integral(v, u, grid), history)
         if rho_new < rho - 1e-9 * rho:
             monotone = False
@@ -386,7 +410,7 @@ def _monotone_iteration(v: Potential, e: float, config: SolverConfig, grid: Radi
         if delta <= config.outer_tol:
             return u, rho, it, monotone, history
     raise ConvergenceError(
-        f"monotone iteration did not reach {config.outer_tol} in "
+        f"monotone Newton did not reach {config.outer_tol} in "
         f"{config.max_outer} iterations (last delta {history[-1]:.3e})",
         history=history,
     )
@@ -440,12 +464,15 @@ def solve_fixed_e(v: Potential, e: float, config: SolverConfig | None = None,
 
     With ``cross_validated`` both schemes run and must agree in L-infinity
     within 1e-6. The k-space scheme falls back to the monotone construction
-    automatically if it fails to converge.
+    automatically if it fails to converge. The monotone scheme always starts
+    from u_0 = 0, so only the k-space scheme uses ``u0``.
     """
     if e <= 0:
         raise ConfigurationError("solve_fixed_e needs e > 0")
     config = config or SolverConfig()
-    v = v.resampled(config.grid_for(e))
+    r_max = config.r_max_for(e)
+    if (config.n, r_max) != (v.grid.n, v.grid.r_max):
+        v = v.resampled(make_grid(config.n, r_max))
     grid = v.grid
     u0_values = None
     if u0 is not None:
@@ -456,7 +483,7 @@ def solve_fixed_e(v: Potential, e: float, config: SolverConfig | None = None,
     monotone_flag = None
     if config.scheme == CROSS_VALIDATED:
         u_f, rho_f, it_f, _ = _fourier_iteration(v, e, config, grid, u0_values)
-        u_m, rho_m, it_m, monotone_flag, _ = _monotone_iteration(v, e, config, grid, None)
+        u_m, rho_m, it_m, monotone_flag, _ = _monotone_iteration(v, e, config, grid)
         gap = float(np.max(np.abs(u_f - u_m)))
         if gap > 1e-6:
             raise InvariantViolation(
@@ -468,7 +495,7 @@ def solve_fixed_e(v: Potential, e: float, config: SolverConfig | None = None,
         return state
 
     if config.scheme == MONOTONE:
-        u_m, rho_m, it, monotone_flag, _ = _monotone_iteration(v, e, config, grid, u0_values)
+        u_m, rho_m, it, monotone_flag, _ = _monotone_iteration(v, e, config, grid)
         state = _build_state(v, e, config, grid, u_m, rho_m, it, MONOTONE)
         state.monotone_iterates = monotone_flag
         return state
@@ -481,7 +508,7 @@ def solve_fixed_e(v: Potential, e: float, config: SolverConfig | None = None,
             "k-space iteration stalled; falling back to the monotone scheme",
             QualityWarning, stacklevel=2,
         )
-        u_m, rho_m, it, monotone_flag, _ = _monotone_iteration(v, e, config, grid, None)
+        u_m, rho_m, it, monotone_flag, _ = _monotone_iteration(v, e, config, grid)
         state = _build_state(v, e, config, grid, u_m, rho_m, it, MONOTONE + "(fallback)")
         state.monotone_iterates = monotone_flag
         return state
@@ -525,14 +552,10 @@ def u_prime(state: SolutionState, rho_prime_value: float) -> RadialField:
         + (2.0 * state.rho + 2.0 * state.e * rho_prime_value) * conv,
         POSITION,
     )
-    out, report = apply_frakKe(payload, state.context,
-                               tol=state.config.inner_tol,
-                               max_iter=state.config.inner_max_iter)
-    if not report.converged:
-        raise ConvergenceError(
-            f"fK_e solve for u' stalled at residual {report.final_residual:.3e}"
-        )
-    return out
+    return require_converged(apply_frakKe(payload, state.context,
+                                          tol=state.config.inner_tol,
+                                          max_iter=state.config.inner_max_iter),
+                             "fK_e solve for u'")
 
 
 def u_prime_integral(state: SolutionState, uprime: RadialField,

@@ -82,15 +82,6 @@ class TestKe:
             assert forward_residual(out, psi, multiplier,
                                     gauss_small.samples.values) <= 1e-9
 
-    def test_warm_start_from_converged_output(self, gauss_small, grid_small):
-        psi = RadialField(grid_small, np.exp(-grid_small.r**2), POSITION)
-        cold, _ = apply_Ke(psi, 0.5, gauss_small, tol=1e-10)
-        warm, report = apply_Ke(psi, 0.5, gauss_small, tol=1e-10,
-                                x0=cold.values)
-        assert report.converged
-        assert report.iterations <= 1
-        np.testing.assert_allclose(warm.values, cold.values, rtol=0, atol=1e-10)
-
     def test_dominated_by_Ge(self, gauss_small, grid_small):
         psi = RadialField(grid_small, np.exp(-grid_small.r**2), POSITION)
         ke, _ = apply_Ke(psi, 0.5, gauss_small)

@@ -11,6 +11,7 @@ from bosegas import (ConfigurationError, CROSS_VALIDATED, FOURIER, MONOTONE,
 from bosegas import solver
 from bosegas.grids import make_grid
 from bosegas.potentials import QualityWarning
+from bosegas.errors import ConvergenceError
 from bosegas.solver import (_fourier_iteration, _grid_images, _image_sum,
                             _monotone_iteration)
 
@@ -73,7 +74,7 @@ class TestSchemes:
         grid = config.grid_for(0.3)
         v = gauss_small.resampled(grid)
         u_f, rho_f, _, _ = _fourier_iteration(v, 0.3, config, grid, None)
-        u_m, rho_m, _, mono, _ = _monotone_iteration(v, 0.3, config, grid, None)
+        u_m, rho_m, _, mono, _ = _monotone_iteration(v, 0.3, config, grid)
         assert mono
         assert abs(rho_f - rho_m) / rho_f < 5e-9
         assert np.max(np.abs(u_f - u_m)) < 1e-8
@@ -99,6 +100,60 @@ class TestSchemes:
         crossed = solve_fixed_e(v, 0.01, replace(config, scheme=CROSS_VALIDATED))
         assert crossed.cross_check <= 1e-6
         assert crossed.rho == pytest.approx(state.rho, rel=1e-12)
+
+
+class TestMonotoneNewton:
+    def test_iterates_increase_below_kspace_solution(self, gauss_small, monkeypatch):
+        # every iterate's rho goes through the constraint integral
+        config = SolverConfig(n=2047, r_max=60.0)
+        grid = gauss_small.grid
+        iterates = []
+        inner = solver._constraint_integral
+
+        def recording(v, u_values, grid):
+            iterates.append(u_values.copy())
+            return inner(v, u_values, grid)
+
+        u_f, _, _, _ = _fourier_iteration(gauss_small, 0.3, config, grid, None)
+        monkeypatch.setattr(solver, "_constraint_integral", recording)
+        _, _, iterations, monotone, _ = _monotone_iteration(gauss_small, 0.3, config, grid)
+        assert monotone
+        assert len(iterates) == iterations + 1
+        assert not np.any(iterates[0])                  # u_0 = 0
+        for prev, cur in zip(iterates, iterates[1:]):
+            assert np.min(cur - prev) >= -1e-9
+            assert np.max(cur - u_f) <= 1e-9
+
+    def test_step_count(self, gauss_small):
+        # the Picard construction took more than 100 steps here
+        config = SolverConfig(n=2047, r_max=60.0)
+        _, _, iterations, _, history = _monotone_iteration(
+            gauss_small, 0.3, config, gauss_small.grid)
+        assert iterations <= 12
+        assert history[-1] <= config.outer_tol
+
+    def test_strong_fallback_normalizes(self):
+        # Picard stopped at |rho int u - 1| = 2.7e-4 here
+        config = SolverConfig(n=16383, r_max=600.0)
+        v = gaussian_potential(1e4, 1.0, config.grid_for(0.01))
+        with pytest.warns(QualityWarning, match="falling back"):
+            state = solve_fixed_e(v, 0.01, config)
+        assert state.scheme_used.endswith("(fallback)")
+        assert state.monotone_iterates
+        assert state.normalization_defect() <= 1e-6
+
+    def test_fourier_stall_hands_over_early(self):
+        config = SolverConfig(n=16383, r_max=600.0)
+        grid = config.grid_for(0.01)
+        v = gaussian_potential(100.0, 1.0, grid)
+        with pytest.raises(ConvergenceError, match="stalled") as info:
+            _fourier_iteration(v, 0.01, config, grid, None)
+        history = info.value.history
+        assert len(history) < config.max_outer
+        assert np.argmin(history) < len(history) - solver._STALL_WINDOW
+        with pytest.warns(QualityWarning, match="falling back"):
+            state = solve_fixed_e(v, 0.01, config)
+        assert state.scheme_used.endswith("(fallback)")
 
 
 class TestAndersonIteration:
