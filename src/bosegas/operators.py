@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import dst
 
 from .errors import ConfigurationError, ConvergenceError, InvariantViolation
 from .grids import (FREQUENCY, POSITION, RadialField, RadialGrid,
@@ -34,8 +35,9 @@ POSITIVITY_SLACK = 1e-10
 class LinearSolveReport:
     """One K_e/fK_e solve; ``final_residual`` is the relative forward residual
     ||psi - A w|| / ||psi|| carried by the CG recurrence, not recomputed.
-    The recomputed residual floors at about 2e-12 from transform round-off,
-    so a reported value below that is the recurrence's estimate only."""
+    The recomputed residual has a round-off floor that grows with n and with
+    the payload (fK_e u: ~2e-12 at n=4095, 6e-11 at n=161999), so a reported
+    value below it is the recurrence's estimate only."""
 
     iterations: int
     final_residual: float
@@ -118,48 +120,49 @@ def apply_Ye(psi: RadialField, ctx: OperatorContext) -> RadialField:
     return RadialField(psi.grid, vals, POSITION)
 
 
-def _preconditioned_cg(psi: RadialField, v_values: np.ndarray, multiplier: np.ndarray,
-                       tol: float, max_iter: int):
-    """Solve (kM + v) w = psi, kM diagonal in k with entries ``multiplier``.
+def _preconditioned_cg(grid: RadialGrid, psi: np.ndarray, v_values: np.ndarray,
+                       multiplier: np.ndarray, tol: float, max_iter: int):
+    """Solve (kM + v) w = psi on raw arrays, kM diagonal in k with entries
+    ``multiplier``.
 
-    Conjugate gradients in the r^2 dr inner product of ``grid.integrate``,
-    preconditioned by kM^-1. The preconditioner inverts kM exactly, so
-    kM p follows from the recurrence kM p <- r + beta kM p and each
-    iteration costs one kM^-1 (two transforms). Stops when the recursively
-    updated relative residual ||r|| / ||psi|| reaches ``tol``; the true
-    residual of w levels off near 1e-12 relative, so checking it against a
-    tighter tol would never stop. Returns (w values, LinearSolveReport).
+    Conjugate gradients in the r^2 dr inner product, preconditioned by kM^-1,
+    run on y = r*w: there the inner product is a plain dot (its 4 pi dr
+    cancels in every ratio) and, since DST-I twice is 2(n+1) times the
+    identity, kM^-1 is dst(dst(y) q) with q = 1/(2(n+1) multiplier). kM p
+    follows from the recurrence kM p <- r + beta kM p, so an iteration costs
+    two DST-I calls. Stops when the recursively updated relative residual
+    ||r|| / ||psi|| reaches ``tol``; the true residual of w levels off above
+    1e-12 relative, so checking it against a tighter tol would never stop.
+    Returns (w values, LinearSolveReport).
     """
-    grid = psi.grid
-    psi_norm = psi.norm_l2()
-    if psi_norm == 0.0:
+    res_y = grid.r * psi
+    psi_sq = float(np.dot(res_y, res_y))
+    if psi_sq == 0.0:
         return np.zeros(grid.n), LinearSolveReport(0, 0.0, True)
-    kM_inv = 1.0 / multiplier
-
-    def rel_norm(x):
-        return float(np.sqrt(grid.integrate(x * x))) / psi_norm
-
-    w = np.zeros(grid.n)
-    r = psi.values.copy()
+    q = 1.0 / (2.0 * (grid.n + 1) * multiplier)
+    y, p, kMp, Ap = (np.zeros(grid.n) for _ in range(4))
     res = 1.0                  # ||r|| / ||psi|| at w = 0
-    p = np.zeros(grid.n)
-    kMp = np.zeros(grid.n)
     rz_prev = np.inf           # makes the first beta zero
     for it in range(1, max_iter + 1):
-        z = _multiply_in_k(RadialField(grid, r, POSITION), kM_inv).values
-        rz = grid.integrate(r * z)
+        z = dst(res_y, type=1)
+        z *= q
+        z = dst(z, type=1, overwrite_x=True)
+        rz = float(np.dot(res_y, z))
         beta = rz / rz_prev
-        p = z + beta * p
-        kMp = r + beta * kMp
-        Ap = kMp + v_values * p
-        alpha = rz / grid.integrate(p * Ap)
-        w = w + alpha * p
-        r = r - alpha * Ap
-        res = rel_norm(r)
+        p *= beta
+        p += z
+        kMp *= beta
+        kMp += res_y
+        np.multiply(v_values, p, out=Ap)
+        Ap += kMp
+        alpha = rz / float(np.dot(p, Ap))
+        y += alpha * p
+        res_y -= alpha * Ap
+        res = float(np.sqrt(np.dot(res_y, res_y) / psi_sq))
         if res <= tol:
-            return w, LinearSolveReport(it, res, True)
+            return y / grid.r, LinearSolveReport(it, res, True)
         rz_prev = rz
-    return w, LinearSolveReport(max_iter, res, False)
+    return y / grid.r, LinearSolveReport(max_iter, res, False)
 
 
 def require_converged(solved, what: str, history=None):
@@ -179,7 +182,7 @@ def apply_Ke(psi: RadialField, e: float, v: Potential, tol: float = DEFAULT_TOL,
     if e <= 0:
         raise ConfigurationError("apply_Ke needs e > 0")
     out, report = _preconditioned_cg(
-        psi, v.samples.values, psi.grid.k**2 + 4.0 * e, tol, max_iter
+        psi.grid, psi.values, v.samples.values, psi.grid.k**2 + 4.0 * e, tol, max_iter
     )
     vals = _warn_ringing(out, psi.values, "K_e")
     return RadialField(psi.grid, vals, POSITION), report
@@ -189,7 +192,7 @@ def apply_frakKe(psi: RadialField, ctx: OperatorContext, tol: float = DEFAULT_TO
                  max_iter: int = MAX_ITER) -> tuple[RadialField, LinearSolveReport]:
     """fK_e psi by conjugate gradients preconditioned with Y_e."""
     out, report = _preconditioned_cg(
-        psi, ctx.v.samples.values, ctx.multiplier(), tol, max_iter
+        psi.grid, psi.values, ctx.v.samples.values, ctx.multiplier(), tol, max_iter
     )
     vals = _warn_ringing(out, psi.values, "fK_e")
     return RadialField(psi.grid, vals, POSITION), report

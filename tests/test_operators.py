@@ -6,7 +6,8 @@ from bosegas import (InvariantViolation, FREQUENCY, POSITION, RadialField,
                      apply_frakKe, apply_Ge, apply_Ke, apply_Ye, evaluate,
                      fourier_radial, gaussian_potential, inverse_fourier_radial,
                      make_grid, symmetry_check, xi_flatness)
-from bosegas.operators import OperatorContext, frakKe_l2_bound
+from bosegas.operators import (LinearSolveReport, OperatorContext, _preconditioned_cg,
+                               frakKe_l2_bound)
 from bosegas.solver import SolverConfig, solve_fixed_e
 
 from conftest import gaussian_bumps
@@ -32,6 +33,30 @@ def forward_residual(w, psi, multiplier, v_values):
         RadialField(w.grid, w_hat.values * multiplier, FREQUENCY))
     r = kMw.values + v_values * w.values - psi.values
     return np.sqrt(w.grid.integrate(r * r)) / psi.norm_l2()
+
+
+def reference_cg(psi, v_values, multiplier, tol):
+    """CG on fields in the r^2 dr inner product, kM^-1 by the public transforms."""
+    g = psi.grid
+
+    def kM_inv(x):
+        x_hat = fourier_radial(RadialField(g, x, POSITION))
+        return inverse_fourier_radial(
+            RadialField(g, x_hat.values / multiplier, FREQUENCY)).values
+
+    w, p, kMp, r = np.zeros(g.n), np.zeros(g.n), np.zeros(g.n), psi.values.copy()
+    rz_prev = np.inf
+    for it in range(1, 1000):
+        z = kM_inv(r)
+        rz = g.integrate(r * z)
+        p = z + rz / rz_prev * p
+        kMp = r + rz / rz_prev * kMp
+        Ap = kMp + v_values * p
+        alpha = rz / g.integrate(p * Ap)
+        w, r = w + alpha * p, r - alpha * Ap
+        if np.sqrt(g.integrate(r * r)) / psi.norm_l2() <= tol:
+            return w, it
+        rz_prev = rz
 
 
 class TestGe:
@@ -81,6 +106,12 @@ class TestKe:
             assert report.converged
             assert forward_residual(out, psi, multiplier,
                                     gauss_small.samples.values) <= 1e-9
+
+    def test_zero_rhs(self, gauss_small, grid_small):
+        zero = RadialField(grid_small, np.zeros(grid_small.n), POSITION)
+        out, report = apply_Ke(zero, 0.5, gauss_small)
+        assert report == LinearSolveReport(0, 0.0, True)
+        assert not np.any(out.values)
 
     def test_dominated_by_Ge(self, gauss_small, grid_small):
         psi = RadialField(grid_small, np.exp(-grid_small.r**2), POSITION)
@@ -186,9 +217,24 @@ class TestFrakKe:
             assert forward_residual(out, psi, ctx.multiplier(),
                                     ctx.v.samples.values) <= 1e-9
 
+    def test_kernel_matches_field_reference(self, state_gauss):
+        # the raw r*w kernel is the field-level iteration in other variables
+        ctx = state_gauss.context
+        g = state_gauss.grid
+        tol = state_gauss.config.inner_tol
+        for psi in (state_gauss.potential.samples, state_gauss.u,
+                    RadialField(g, np.exp(-(g.r - 1.0) ** 2), POSITION)):
+            w, report = _preconditioned_cg(g, psi.values, ctx.v.samples.values,
+                                           ctx.multiplier(), tol, 1000)
+            ref, iterations = reference_cg(psi, ctx.v.samples.values,
+                                           ctx.multiplier(), tol)
+            assert report.iterations == iterations
+            assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_true_residual_at_default_inner_tol(self, state_gauss):
         # the recurrence reports far below inner_tol; the recomputed residual
-        # floors near 2e-12, which SolverConfig.inner_tol documents
+        # floors above it (~2e-12 on this n=8191 grid, higher at larger n),
+        # which SolverConfig.inner_tol documents
         ctx = state_gauss.context
         out, report = apply_frakKe(state_gauss.u, ctx, tol=SolverConfig().inner_tol)
         assert report.converged
@@ -202,6 +248,31 @@ class TestFrakKe:
                                  tol=state_gauss.config.inner_tol)
         assert report.converged
         assert report.iterations <= 8
+
+    def test_zero_rhs(self, state_gauss):
+        zero = RadialField(state_gauss.grid, np.zeros(state_gauss.grid.n), POSITION)
+        out, report = apply_frakKe(zero, state_gauss.context)
+        assert report == LinearSolveReport(0, 0.0, True)
+        assert not np.any(out.values)
+
+    def test_field_inits_independent_of_iterations(self, state_gauss, monkeypatch):
+        # CG iterates on raw arrays; only the entry and exit build fields
+        ctx = state_gauss.context
+        post_init = RadialField.__post_init__
+        inits = [0]
+
+        def counted(field):
+            inits[0] += 1
+            post_init(field)
+
+        monkeypatch.setattr(RadialField, "__post_init__", counted)
+        runs = []
+        for tol in (1e-3, 1e-12):
+            before = inits[0]
+            _, report = apply_frakKe(state_gauss.u, ctx, tol=tol)
+            runs.append((report.iterations, inits[0] - before))
+        assert runs[0][0] < runs[1][0]
+        assert runs[0][1] == runs[1][1]
 
     def test_kv_range(self, state_gauss):
         kv = state_gauss.frakKe_v().values

@@ -9,7 +9,7 @@ from bosegas import (ConfigurationError, CROSS_VALIDATED, FOURIER, MONOTONE,
                      rho_prime_fd, solve_fixed_e, solve_fixed_rho, sweep,
                      u_prime, u_prime_integral)
 from bosegas import solver
-from bosegas.grids import make_grid
+from bosegas.grids import RadialField, fast_grid_size, make_grid
 from bosegas.potentials import QualityWarning
 from bosegas.errors import ConvergenceError
 from bosegas.solver import (_fourier_iteration, _grid_images, _image_sum,
@@ -45,6 +45,9 @@ class TestSolveFixedE:
         cold = solve_fixed_e(gauss_small, 0.5, config)
         warm = solve_fixed_e(gauss_small, 0.5001, config, u0=cold.u)
         assert warm.iterations < cold.iterations
+
+    def test_default_grid_size_is_fast(self):
+        assert fast_grid_size(SolverConfig().n) == SolverConfig().n
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -131,6 +134,32 @@ class TestMonotoneNewton:
             gauss_small, 0.3, config, gauss_small.grid)
         assert iterations <= 12
         assert history[-1] <= config.outer_tol
+
+    def test_newton_solves_build_no_fields(self, gauss_small, monkeypatch):
+        # the Newton solves pass raw arrays, so no solve builds a RadialField
+        post_init = RadialField.__post_init__
+        inits = [0]
+
+        def counted(field):
+            inits[0] += 1
+            post_init(field)
+
+        cg = solver._preconditioned_cg
+        solves = []
+
+        def recorded(*args):
+            before = inits[0]
+            w, report = cg(*args)
+            solves.append((report.iterations, inits[0] - before))
+            return w, report
+
+        monkeypatch.setattr(RadialField, "__post_init__", counted)
+        monkeypatch.setattr(solver, "_preconditioned_cg", recorded)
+        for inner_tol in (1e-12, 1e-8):
+            config = SolverConfig(n=2047, r_max=60.0, inner_tol=inner_tol, outer_tol=1e-6)
+            _monotone_iteration(gauss_small, 0.3, config, gauss_small.grid)
+        assert len({iterations for iterations, _ in solves}) > 1
+        assert {fields for _, fields in solves} == {0}
 
     def test_strong_fallback_normalizes(self):
         # Picard stopped at |rho int u - 1| = 2.7e-4 here
