@@ -152,9 +152,9 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         errors.append(f"unknown scheme {raw.get('scheme')!r}")
     if raw.get("format") not in (None, "csv", "json"):
         errors.append(f"unknown format {raw.get('format')!r} (csv or json)")
-    for key in ("e", "e_min", "e_max", "rho", "amp", "width", "b", "v_e"):
-        if key in raw and raw[key] is not None and raw[key] <= 0:
-            errors.append(f"'{key}' must be positive, got {raw[key]}")
+    for key in ("e", "e_min", "e_max", "rho", "amp", "width", "b", "v_e", "r_max"):
+        if key in raw and raw[key] is not None and not 0 < raw[key] < np.inf:
+            errors.append(f"'{key}' must be positive and finite, got {raw[key]}")
 
     if errors:
         raise ConfigurationError(errors)

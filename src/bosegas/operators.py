@@ -19,10 +19,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dst
 
 from .errors import ConfigurationError, ConvergenceError, InvariantViolation
-from .grids import (FREQUENCY, POSITION, RadialField, RadialGrid,
+from .grids import (FREQUENCY, POSITION, RadialField, RadialGrid, dst1,
                     fourier_radial, inverse_fourier_radial)
 from .potentials import Potential, QualityWarning
 
@@ -128,12 +127,13 @@ def _preconditioned_cg(grid: RadialGrid, psi: np.ndarray, v_values: np.ndarray,
     Conjugate gradients in the r^2 dr inner product, preconditioned by kM^-1,
     run on y = r*w: there the inner product is a plain dot (its 4 pi dr
     cancels in every ratio) and, since DST-I twice is 2(n+1) times the
-    identity, kM^-1 is dst(dst(y) q) with q = 1/(2(n+1) multiplier). kM p
+    identity, kM^-1 is dst1(dst1(y) q) with q = 1/(2(n+1) multiplier). kM p
     follows from the recurrence kM p <- r + beta kM p, so an iteration costs
     two DST-I calls. Stops when the recursively updated relative residual
     ||r|| / ||psi|| reaches ``tol``; the true residual of w levels off above
     1e-12 relative, so checking it against a tighter tol would never stop.
-    Returns (w values, LinearSolveReport).
+    A breakdown (r.z or p.Ap not positive, e.g. by underflow) ends the solve
+    unconverged. Returns (w values, LinearSolveReport).
     """
     res_y = grid.r * psi
     psi_sq = float(np.dot(res_y, res_y))
@@ -144,9 +144,9 @@ def _preconditioned_cg(grid: RadialGrid, psi: np.ndarray, v_values: np.ndarray,
     res = 1.0                  # ||r|| / ||psi|| at w = 0
     rz_prev = np.inf           # makes the first beta zero
     for it in range(1, max_iter + 1):
-        z = dst(res_y, type=1)
+        z = dst1(res_y)
         z *= q
-        z = dst(z, type=1, overwrite_x=True)
+        z = dst1(z)
         rz = float(np.dot(res_y, z))
         beta = rz / rz_prev
         p *= beta
@@ -155,7 +155,10 @@ def _preconditioned_cg(grid: RadialGrid, psi: np.ndarray, v_values: np.ndarray,
         kMp += res_y
         np.multiply(v_values, p, out=Ap)
         Ap += kMp
-        alpha = rz / float(np.dot(p, Ap))
+        pAp = float(np.dot(p, Ap))
+        if not (rz > 0.0 and pAp > 0.0):   # breakdown, e.g. underflow
+            return y / grid.r, LinearSolveReport(it - 1, res, False)
+        alpha = rz / pAp
         y += alpha * p
         res_y -= alpha * Ap
         res = float(np.sqrt(np.dot(res_y, res_y) / psi_sq))

@@ -78,6 +78,25 @@ class TestRunModes:
         assert cli.main(["--mode", "solve", "--potential", "gaussian",
                          "--amp", "1", "--width", "1", "--e", "1"]) == 3
 
+    def test_cg_breakdown_exits_3(self, tmp_path, capsys):
+        # r_max = 4e-148: the K_e v solve underflows and must stall cleanly
+        code = main(["--mode", "solve", "--potential", "gaussian", "--amp", "1",
+                     "--width", "1", "--e", "1e300", "--out", str(tmp_path / "big")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "K_e v solve stalled" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [["--e", "nan"],
+                                       ["--e", "0.01", "--r-max", "nan"],
+                                       ["--e", "0.01", "--r-max", "inf"],
+                                       ["--e", "inf"]])
+    def test_non_finite_input_exits_2(self, flags, capsys):
+        code = main(["--mode", "solve", "--potential", "gaussian", "--amp", "1",
+                     "--width", "1"] + flags)
+        assert code == 2
+        assert "must be positive and finite" in capsys.readouterr().err
+
     def test_strong_potential_exits_with_package_error(self, tmp_path, capsys):
         # the iterate reaches u = 1 on the support of v, so int (1-u) v = 0
         code = main(["--mode", "solve", "--potential", "gaussian", "--amp", "10000",

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import dst
 
 from bosegas import (ConfigurationError, GridMismatchError, POSITION,
-                     RadialField, convolve, evaluate, field_from_profile,
-                     fourier_radial, healing_integral_check,
+                     RadialField, apply_Ke, convolve, evaluate, field_from_profile,
+                     fourier_radial, gaussian_potential, healing_integral_check,
                      inverse_fourier_radial, make_grid, moments,
                      plancherel_defect)
-from bosegas.grids import fast_grid_size, fit_tail_coefficient
+from bosegas import grids, operators
+from bosegas.grids import _DST_SPLIT_MIN, dst1, fast_grid_size, fit_tail_coefficient
 
 
 def gaussian_field(grid, width=1.0):
@@ -40,13 +42,32 @@ class TestMakeGrid:
         assert g.dr * g.dk * (g.n + 1) == pytest.approx(np.pi, rel=1e-15)
 
     def test_fast_grid_size_is_dst_friendly(self):
-        n = fast_grid_size(100_000)
-        assert n >= 100_000
-        m = n + 1
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        assert m == 1
+        # n+1 even lets dst1 split a large transform; 5-smooth keeps it fast
+        for n_min in (100_000, 16_384, 50_000):
+            n = fast_grid_size(n_min)
+            assert n >= n_min
+            m = n + 1
+            assert m % 2 == 0
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            assert m == 1
+
+
+class TestDst1:
+    @pytest.mark.parametrize("n", [4, 5, 4095, 12149, 12150, _DST_SPLIT_MIN + 1,
+                                   20249, 32400, 80999])
+    def test_matches_scipy(self, n):
+        x = np.random.default_rng(n).standard_normal(n)
+        expected = dst(x, type=1)
+        scale = np.max(np.abs(expected))
+        np.testing.assert_allclose(dst1(x), expected, rtol=0, atol=1e-15 * scale)
+
+    def test_batched_last_axis(self):
+        x = np.random.default_rng(1).standard_normal((3, 32399))
+        expected = dst(x, type=1)
+        np.testing.assert_allclose(dst1(x), expected, rtol=0,
+                                   atol=1e-15 * np.max(np.abs(expected)))
 
 
 class TestFourier:
@@ -82,10 +103,31 @@ class TestFourier:
         np.testing.assert_allclose(u.values[sel], expected, rtol=2e-6)
 
     def test_round_trip_identity(self):
-        g = make_grid(2048, 30.0)
+        # n = 32399 >= _DST_SPLIT_MIN runs the split DST-I
+        for n, r_max in ((2048, 30.0), (32399, 400.0)):
+            g = make_grid(n, r_max)
+            f = gaussian_field(g)
+            back = inverse_fourier_radial(fourier_radial(f))
+            np.testing.assert_allclose(back.values, f.values, atol=1e-12)
+
+    def test_one_dst1_call_per_transform(self, monkeypatch):
+        # the split recursion is private: a wrapper on dst1 counts DST-Is
+        real, calls = grids.dst1, []
+
+        def counted(x):
+            calls.append(np.shape(x)[-1])
+            return real(x)
+        monkeypatch.setattr(grids, "dst1", counted)
+        monkeypatch.setattr(operators, "dst1", counted)
+        g = make_grid(32399, 400.0)
+        v = gaussian_potential(1.0, 1.0, g)
         f = gaussian_field(g)
-        back = inverse_fourier_radial(fourier_radial(f))
-        np.testing.assert_allclose(back.values, f.values, atol=1e-12)
+        calls.clear()
+        inverse_fourier_radial(fourier_radial(f))
+        assert calls == [g.n, g.n]
+        _, report = apply_Ke(f, 0.1, v)
+        assert report.converged
+        assert calls == [g.n] * (2 + 2 * report.iterations)
 
     def test_transform_shares_grid_object(self):
         g = make_grid(256, 10.0)

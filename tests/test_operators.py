@@ -113,6 +113,15 @@ class TestKe:
         assert report == LinearSolveReport(0, 0.0, True)
         assert not np.any(out.values)
 
+    def test_breakdown_returns_unconverged(self):
+        # at e = 1e300 the preconditioned residual underflows to zero, so
+        # p.Ap = 0; the kernel reports a stall instead of dividing by it
+        g = make_grid(4095, 4e-148)
+        out, report = _preconditioned_cg(g, np.ones(g.n), np.ones(g.n),
+                                         g.k**2 + 4e300, 1e-10, 100)
+        assert not report.converged
+        assert np.all(np.isfinite(out))
+
     def test_dominated_by_Ge(self, gauss_small, grid_small):
         psi = RadialField(grid_small, np.exp(-grid_small.r**2), POSITION)
         ke, _ = apply_Ke(psi, 0.5, gauss_small)
