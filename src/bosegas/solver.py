@@ -17,7 +17,15 @@ Two schemes converge to the same discrete fixed point:
 
 The k-space map u -> G(u) is iterated by type-II Anderson mixing of depth
 ``_ANDERSON_DEPTH``, restarted when max|G(u) - u| grows; its fixed point is
-unchanged. A solve keeps its potential's grid when it equals the config's.
+unchanged. It runs on raw sine coefficients through ``grids.dst1``, one
+DST-I each way per step. A solve keeps its potential's grid when it equals
+the config's.
+
+``_solve`` reaches the fixed point (scheme dispatch, fallback,
+cross-validation) and ``_build_state`` turns it into a SolutionState. Callers
+that need only rho stop at ``_solve``: the finite-difference pair of
+``rho_prime_fd``, whose lower solve starts from the reflection
+2 u(e) - u(e + de), and the probes of ``solve_fixed_rho``.
 
 Solutions decay like r^-4, so plain grid quadrature of int u misses an
 O(1/r_max) tail. Integrals of u carry a tail-and-image correction whose
@@ -25,7 +33,8 @@ leading coefficient comes from the exact small-k form of rho*uhat:
 rho*uhat = 1 - sqrt(2+beta) kappa + O(kappa^2) with
 beta = -(rho/4e) d^2/dkappa^2 Shat(0) = (rho/3) int |x|^2 S dx, giving
 rho u ~ sqrt(2+beta)/(2 pi^2 sqrt(e)) r^-4. The grid's odd-periodization
-images of that tail are Hurwitz zeta values, built once per grid (n, r_max).
+images of that tail are differences of Hurwitz zeta values, summed as their
+odd power series in r/2R and built once per grid (n, r_max).
 """
 
 from __future__ import annotations
@@ -36,11 +45,11 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import zeta
+from scipy.special import binom, zeta
 
 from .errors import ConfigurationError, ConvergenceError, InvariantViolation
 from .grids import (FREQUENCY, POSITION, RadialField, RadialGrid, auto_r_max,
-                    convolve, fourier_radial, inverse_fourier_radial, make_grid)
+                    convolve, dst1, fourier_radial, inverse_fourier_radial, make_grid)
 from .operators import (OperatorContext, _preconditioned_cg, apply_frakKe, apply_Ke,
                         require_converged)
 from .potentials import Potential, QualityWarning
@@ -51,6 +60,7 @@ CROSS_VALIDATED = "cross_validated"
 _SCHEMES = (FOURIER, MONOTONE, CROSS_VALIDATED)
 _ANDERSON_DEPTH = 2     # past differences mixed by the k-space iteration
 _STALL_WINDOW = 25      # k-space steps without a new minimum of max|f| before hand-over
+_IMAGE_TERMS = 44       # odd terms of the image series; the last is < 1e-20 relative at x = 1/2
 
 
 @dataclass(frozen=True)
@@ -160,18 +170,19 @@ class SolutionState:
     def check_invariants(self, norm_tol: float = 1e-6) -> dict:
         """Evaluate the state contract; returns name -> (value, ok)."""
         v1 = self.potential.norms.v_l1
-        checks = {
-            "u_nonneg": (float(np.min(self.u.values)), np.min(self.u.values) >= -1e-10),
-            "u_le_one": (float(np.max(self.u.values)), np.max(self.u.values) <= 1.0 + 1e-10),
-            "normalization": (self.normalization_defect(),
-                              self.normalization_defect() <= norm_tol),
+        u_min, u_max = float(np.min(self.u.values)), float(np.max(self.u.values))
+        defect = self.normalization_defect()
+        radicand = self.radicand_min()
+        return {
+            "u_nonneg": (u_min, u_min >= -1e-10),
+            "u_le_one": (u_max, u_max <= 1.0 + 1e-10),
+            "normalization": (defect, defect <= norm_tol),
             "density_bracket": (self.rho,
                                 2.0 * self.e / v1 <= self.rho <= 4.0 * self.e / v1),
             "constraint": (self.constraint_residual, self.constraint_residual <= 1e-8),
-            "radicand_nonneg": (self.radicand_min(), self.radicand_min() >= 0.0),
+            "radicand_nonneg": (radicand, radicand >= 0.0),
             "pde_residual": (self.pde_residual, self.pde_residual <= 1e-7),
         }
-        return checks
 
     def require_invariants(self, norm_tol: float = 1e-6):
         failed = {k: v for k, (v, ok) in self.check_invariants(norm_tol).items() if not ok}
@@ -189,10 +200,23 @@ class SolutionState:
 def _image_sum(r, r_max: float, power: float):
     """Boundary images of s -> s^-power under odd periodization of s^(1-power):
     sum_{l>=1} [(2lR+r)^-q - (2lR-r)^-q]/r = (2R)^-q [zeta(q, 1+x) - zeta(q, 1-x)]/r
-    with q = power - 1, x = r/2R and the Hurwitz zeta function (DLMF 25.11)."""
+    with q = power - 1, x = r/2R and the Hurwitz zeta function (DLMF 25.11).
+
+    The zeta difference cancels near r = 0, so it is summed as its odd series
+    -2 sum_{j odd} C(q+j-1, j) zeta(q+j) x^j (the Taylor series of zeta(q, a)
+    about a = 1, DLMF 25.11.10), whose terms all have one sign: with the 1/r
+    divided out, a polynomial in x^2 evaluated by Horner. _IMAGE_TERMS terms
+    reach double precision for x <= 1/2 (r <= R).
+    """
     q = power - 1.0
-    x = r / (2.0 * r_max)
-    return (2.0 * r_max) ** (-q) * (zeta(q, 1.0 + x) - zeta(q, 1.0 - x)) / r
+    j = 2.0 * np.arange(_IMAGE_TERMS) + 1.0
+    coeffs = binom(q + j - 1.0, j) * zeta(q + j)
+    x2 = (np.asarray(r, dtype=float) / (2.0 * r_max)) ** 2
+    series = np.full_like(x2, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        series *= x2
+        series += c
+    return -2.0 * (2.0 * r_max) ** (-q - 1.0) * series
 
 
 @lru_cache(maxsize=4)
@@ -227,7 +251,7 @@ def _fit_c6(values: np.ndarray, grid: RadialGrid, c4: float,
 
 def _s_moment(v: Potential, s_values: np.ndarray, grid: RadialGrid, weight_power: int) -> float:
     """int |x|^weight_power S d^3x with the algebraic tail of v restored."""
-    base = grid.integrate(grid.r**weight_power * s_values)
+    base = grid.integrate(s_values if weight_power == 0 else grid.r**weight_power * s_values)
     if v.tail_power is None:
         return base
     p = v.tail_power
@@ -294,46 +318,61 @@ def _fourier_iteration(v: Potential, e: float, config: SolverConfig, grid: Radia
     squares by the last ``_ANDERSON_DEPTH`` differences of f, dG holds those
     of G; when max|f| grows the history restarts from its newest difference.
     The fixed point is that of u = G(u); stops at max|f| <= outer_tol and
-    returns G(u) and its rho, or raises ConvergenceError once max|f| has set
-    no new minimum for ``_STALL_WINDOW`` steps.
+    returns G(u) and its rho, or raises ConvergenceError once max|f| is not
+    finite or has set no new minimum for ``_STALL_WINDOW`` steps.
+
+    A step is one DST-I each way on raw arrays; the transform scales, a^2
+    and the radicand floor are formed once per solve, and no field is built.
     """
-    kappa2 = grid.k**2 / (4.0 * e)
-    a = kappa2 + 1.0
+    r, k = grid.r, grid.k
+    # the transform pair's scales with DST-I's factor 2 folded in (exact)
+    to_k = 2.0 * np.pi * grid.dr / k
+    to_r = grid.dk / (4.0 * np.pi**2 * r)
+    a = k**2 / (4.0 * e) + 1.0
+    a2 = a * a
+    floor = -1e-12 * a * a
     v_vals = v.samples.values
     u = np.zeros(grid.n) if u0 is None else u0
+    s, radicand, f, f_prev = (np.empty(grid.n) for _ in range(4))
     d_f = np.empty((_ANDERSON_DEPTH, grid.n))
     d_g = np.empty_like(d_f)
-    f_prev = g_prev = None
+    g_prev = None
     filled = 0          # differences stored since the last restart
     history = []
     for it in range(1, config.max_outer + 1):
-        s_vals = (1.0 - u) * v_vals
-        neg = s_vals < 0
-        if np.any(neg):
-            # transient u > 1 overshoot; clamped S keeps the radicand safe
-            s_vals = np.where(neg, 0.0, s_vals)
-        s_hat = fourier_radial(RadialField(grid, s_vals, POSITION))
-        rho = _density(e, _s_moment(v, s_vals, grid, 0), history)
-        y = rho / (2.0 * e) * s_hat.values
-        radicand = a * a - y
-        bad = radicand < -1e-12 * a * a
+        np.subtract(1.0, u, out=s)
+        s *= v_vals
+        # transient u > 1 overshoot; clamped S keeps the radicand safe
+        np.maximum(s, 0.0, out=s)
+        rho = _density(e, _s_moment(v, s, grid, 0), history)
+        y = dst1(r * s)
+        y *= to_k
+        y *= rho / (2.0 * e)
+        np.subtract(a2, y, out=radicand)
+        bad = radicand < floor
         if np.any(bad):
-            k_bad = grid.k[int(np.argmax(bad))]
+            k_bad = k[int(np.argmax(bad))]
             raise InvariantViolation(
                 f"radicand of the k-space root went negative at k = {k_bad:.6g} "
                 f"(min {np.min(radicand):.3e}); the grid under-resolves this "
                 "state - increase n and/or r_max"
             )
-        radicand = np.maximum(radicand, 0.0)
+        np.maximum(radicand, 0.0, out=radicand)
         # a - sqrt(a^2 - y) cancels catastrophically at large k; this form
-        # keeps full relative precision in the spectral tail
-        rho_u_hat = y / (a + np.sqrt(radicand))
-        g = inverse_fourier_radial(
-            RadialField(grid, rho_u_hat / rho, FREQUENCY)
-        ).values
-        f = g - u
+        # keeps full relative precision in the spectral tail: y becomes rho*uhat
+        np.sqrt(radicand, out=radicand)
+        radicand += a
+        y /= radicand
+        y /= rho
+        y *= k
+        g = dst1(y)
+        g *= to_r
+        np.subtract(g, u, out=f)
         delta = float(np.max(np.abs(f)))
         history.append(delta)
+        if not np.isfinite(delta):
+            raise ConvergenceError(
+                f"k-space iterate is not finite on step {it}", history=history)
         if delta <= config.outer_tol:
             return g, rho, it, history
         if it - 1 - int(np.argmin(history)) >= _STALL_WINDOW:
@@ -341,7 +380,7 @@ def _fourier_iteration(v: Potential, e: float, config: SolverConfig, grid: Radia
                 f"k-space iteration stalled: no new minimum of max|G(u) - u| in "
                 f"{_STALL_WINDOW} steps (best {min(history):.3e})", history=history)
         u = g
-        if f_prev is not None:
+        if g_prev is not None:
             filled = 1 if delta > history[-2] else filled + 1
             slot = (filled - 1) % _ANDERSON_DEPTH
             np.subtract(f, f_prev, out=d_f[slot])
@@ -350,7 +389,8 @@ def _fourier_iteration(v: Potential, e: float, config: SolverConfig, grid: Radia
             gram = d_f[:depth] @ d_f[:depth].T
             gamma = np.linalg.lstsq(gram, d_f[:depth] @ f, rcond=None)[0]
             u = g - gamma @ d_g[:depth]
-        f_prev, g_prev = f, g
+        f, f_prev = f_prev, f
+        g_prev = g
     raise ConvergenceError(
         f"k-space iteration did not reach {config.outer_tol} in "
         f"{config.max_outer} iterations (last delta {history[-1]:.3e})",
@@ -418,9 +458,40 @@ def _monotone_iteration(v: Potential, e: float, config: SolverConfig, grid: Radi
     )
 
 
+def _solve(v: Potential, e: float, config: SolverConfig, grid: RadialGrid,
+           u0: np.ndarray | None):
+    """Reach the fixed point at e on ``grid`` by the configured scheme, as
+    ``solve_fixed_e`` describes, but build no state; returns (u, rho,
+    iterations, scheme_used, monotone, gap). ``monotone`` is None when no
+    monotone construction ran, ``gap`` when no cross-validation did.
+    """
+    if config.scheme == CROSS_VALIDATED:
+        u_f, rho_f, it_f, _ = _fourier_iteration(v, e, config, grid, u0)
+        u_m, _, it_m, monotone, _ = _monotone_iteration(v, e, config, grid)
+        gap = float(np.max(np.abs(u_f - u_m)))
+        if gap > 1e-6:
+            raise InvariantViolation(
+                f"scheme cross-validation failed: L-inf gap {gap:.3e} exceeds 1e-6"
+            )
+        return u_f, rho_f, it_f + it_m, CROSS_VALIDATED, monotone, gap
+    scheme_used = MONOTONE
+    if config.scheme == FOURIER:
+        try:
+            u, rho, it, _ = _fourier_iteration(v, e, config, grid, u0)
+            return u, rho, it, FOURIER, None, None
+        except ConvergenceError:
+            warnings.warn(
+                "k-space iteration stalled; falling back to the monotone scheme",
+                QualityWarning, stacklevel=3,
+            )
+            scheme_used = MONOTONE + "(fallback)"
+    u, rho, it, monotone, _ = _monotone_iteration(v, e, config, grid)
+    return u, rho, it, scheme_used, monotone, None
+
+
 def _build_state(v: Potential, e: float, config: SolverConfig, grid: RadialGrid,
-                 u_values: np.ndarray, rho: float, iterations: int,
-                 scheme_used: str) -> SolutionState:
+                 u_values: np.ndarray, rho: float, iterations: int, scheme_used: str,
+                 monotone: bool | None, gap: float | None) -> SolutionState:
     u = RadialField(grid, u_values, POSITION)
     u_hat_plain = fourier_radial(u)
     rho_u_hat = RadialField(grid, np.clip(rho * u_hat_plain.values, 0.0, 1.0), FREQUENCY)
@@ -454,7 +525,8 @@ def _build_state(v: Potential, e: float, config: SolverConfig, grid: RadialGrid,
         potential=v, config=config, iterations=iterations, scheme_used=scheme_used,
         pde_residual=pde_residual, constraint_residual=constraint_residual,
         tail_mass=tail_mass, integral_u=integral_u,
-        beta_curvature=beta_curvature, tail=tail,
+        beta_curvature=beta_curvature, tail=tail, cross_check=gap,
+        monotone_iterates=monotone,
     )
     state._cache["u_conv"] = conv
     return state
@@ -481,39 +553,7 @@ def solve_fixed_e(v: Potential, e: float, config: SolverConfig | None = None,
         if u0.grid != grid:
             raise ConfigurationError("warm start field lives on a different grid")
         u0_values = u0.values
-
-    monotone_flag = None
-    if config.scheme == CROSS_VALIDATED:
-        u_f, rho_f, it_f, _ = _fourier_iteration(v, e, config, grid, u0_values)
-        u_m, rho_m, it_m, monotone_flag, _ = _monotone_iteration(v, e, config, grid)
-        gap = float(np.max(np.abs(u_f - u_m)))
-        if gap > 1e-6:
-            raise InvariantViolation(
-                f"scheme cross-validation failed: L-inf gap {gap:.3e} exceeds 1e-6"
-            )
-        state = _build_state(v, e, config, grid, u_f, rho_f, it_f + it_m, CROSS_VALIDATED)
-        state.cross_check = gap
-        state.monotone_iterates = monotone_flag
-        return state
-
-    if config.scheme == MONOTONE:
-        u_m, rho_m, it, monotone_flag, _ = _monotone_iteration(v, e, config, grid)
-        state = _build_state(v, e, config, grid, u_m, rho_m, it, MONOTONE)
-        state.monotone_iterates = monotone_flag
-        return state
-
-    try:
-        u_f, rho_f, it, _ = _fourier_iteration(v, e, config, grid, u0_values)
-        return _build_state(v, e, config, grid, u_f, rho_f, it, FOURIER)
-    except ConvergenceError:
-        warnings.warn(
-            "k-space iteration stalled; falling back to the monotone scheme",
-            QualityWarning, stacklevel=2,
-        )
-        u_m, rho_m, it, monotone_flag, _ = _monotone_iteration(v, e, config, grid)
-        state = _build_state(v, e, config, grid, u_m, rho_m, it, MONOTONE + "(fallback)")
-        state.monotone_iterates = monotone_flag
-        return state
+    return _build_state(v, e, config, grid, *_solve(v, e, config, grid, u0_values))
 
 
 # ---------------------------------------------------------------------------
@@ -581,13 +621,18 @@ def u_prime_integral(state: SolutionState, uprime: RadialField,
 
 
 def rho_prime_fd(v: Potential, state: SolutionState, rel_step: float = 1e-4) -> float:
-    """Centered finite difference of rho(e), warm-started from the state."""
+    """Centered finite difference of rho(e) by two re-solves on the state's grid.
+
+    Only rho is kept, so neither re-solve builds a state. The upper one starts
+    from u(e); the lower one from the reflection 2 u(e) - u(e + de), whose
+    error is O(de^2) rather than O(de).
+    """
     de = rel_step * state.e
-    cfg = replace(state.config, r_max=state.grid.r_max)
     v = v.resampled(state.grid)
-    hi = solve_fixed_e(v, state.e + de, cfg, u0=state.u)
-    lo = solve_fixed_e(v, state.e - de, cfg, u0=state.u)
-    return float((hi.rho - lo.rho) / (2.0 * de))
+    u = state.u.values
+    u_hi, rho_hi, *_ = _solve(v, state.e + de, state.config, v.grid, u)
+    _, rho_lo, *_ = _solve(v, state.e - de, state.config, v.grid, 2.0 * u - u_hi)
+    return float((rho_hi - rho_lo) / (2.0 * de))
 
 
 # ---------------------------------------------------------------------------
@@ -725,21 +770,30 @@ def solve_fixed_rho(v: Potential, rho_target: float,
     cfg = replace(config, r_max=grid.r_max)
     v = v.resampled(grid)
 
-    cache: dict[float, SolutionState] = {}
+    cache: dict[float, tuple] = {}      # e -> what _solve returned there
     warm: list = [None]
 
     def rho_defect(e: float) -> float:
-        state = solve_fixed_e(v, e, cfg, u0=warm[0])
-        warm[0] = state.u
-        cache[e] = state
-        return state.rho / rho_target - 1.0
+        solved = _solve(v, e, cfg, v.grid, warm[0])
+        warm[0] = solved[0]
+        cache[e] = solved
+        return solved[1] / rho_target - 1.0
+
+    def root_state(e: float) -> SolutionState:
+        solved = cache.get(e) or _solve(v, e, cfg, v.grid, warm[0])
+        defect = abs(solved[1] - rho_target) / rho_target
+        if defect > rho_rtol:
+            raise ConvergenceError(
+                f"density inversion stopped at |rho - target|/target = {defect:.3e}"
+            )
+        return _build_state(v, e, cfg, v.grid, *solved)
 
     f_lo = rho_defect(e_lo)
     f_hi = rho_defect(e_hi)
     if f_lo == 0.0:
-        return cache[e_lo]
+        return root_state(e_lo)
     if f_hi == 0.0:
-        return cache[e_hi]
+        return root_state(e_hi)
     if f_lo * f_hi > 0:
         # non-monotone or bracket-degenerate: scan for sign changes
         scan = np.geomspace(e_lo / 4.0, e_hi * 4.0, 25)
@@ -760,10 +814,4 @@ def solve_fixed_rho(v: Potential, rho_target: float,
         f_lo, f_hi = values[i], values[i + 1]
 
     e_root = brentq(rho_defect, e_lo, e_hi, xtol=1e-300, rtol=1e-14, maxiter=200)
-    state = cache.get(e_root) or solve_fixed_e(v, float(e_root), cfg, u0=warm[0])
-    defect = abs(state.rho - rho_target) / rho_target
-    if defect > rho_rtol:
-        raise ConvergenceError(
-            f"density inversion stopped at |rho - target|/target = {defect:.3e}"
-        )
-    return state
+    return root_state(float(e_root))

@@ -2,13 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import binom, zeta
 
 from bosegas import (ConfigurationError, CROSS_VALIDATED, FOURIER, MONOTONE,
                      ExplicitSolutionSpec, InvariantViolation, SolverConfig,
                      explicit_potential, gaussian_potential, rho_prime,
                      rho_prime_fd, solve_fixed_e, solve_fixed_rho, sweep,
                      u_prime, u_prime_integral)
-from bosegas import solver
+from bosegas import grids, operators, solver
 from bosegas.grids import RadialField, fast_grid_size, make_grid
 from bosegas.potentials import QualityWarning
 from bosegas.errors import ConvergenceError
@@ -195,21 +196,25 @@ class TestAndersonIteration:
         assert history[-1] <= config.outer_tol
 
     def test_warm_fd_resolve_count(self, gauss_small, monkeypatch):
-        # 8 iterations per warm re-solve under the damped fixed point, 5 now
+        # 8 k-space steps per warm re-solve under the damped fixed point, 5
+        # with Anderson mixing; the lower one starts from the reflection
+        # 2u - u_hi and took 4-5 steps when it started from u
         config = SolverConfig(n=2047, r_max=60.0)
         state = solve_fixed_e(gauss_small, 0.3, config)
         counts = []
-        inner = solver.solve_fixed_e
+        inner = solver._fourier_iteration
 
-        def counting(*args, **kwargs):
-            out = inner(*args, **kwargs)
-            counts.append(out.iterations)
+        def counting(*args):
+            out = inner(*args)
+            counts.append(out[2])
             return out
 
-        monkeypatch.setattr(solver, "solve_fixed_e", counting)
+        monkeypatch.setattr(solver, "_fourier_iteration", counting)
         rho_prime_fd(gauss_small, state)
         assert len(counts) == 2
-        assert max(counts) <= 6
+        hi, lo = counts
+        assert hi <= 6
+        assert lo <= 3
 
     def test_iterate_stays_finite_when_clamp_fires(self, monkeypatch):
         # u overshoots 1 on the support of v for several steps after the
@@ -218,18 +223,43 @@ class TestAndersonIteration:
         grid = config.grid_for(0.01)
         v = gaussian_potential(10.0, 1.0, grid)
         clamped = []
-        inner = solver.fourier_radial
+        inner = solver.dst1
 
-        def recording(f):
-            clamped.append(bool(np.any((f.values == 0.0) & (v.samples.values > 0.0))))
-            return inner(f)
+        def recording(x):
+            clamped.append(bool(np.any((x == 0.0) & (v.samples.values > 0.0))))
+            return inner(x)
 
-        monkeypatch.setattr(solver, "fourier_radial", recording)
+        monkeypatch.setattr(solver, "dst1", recording)
         u, rho, iterations, history = _fourier_iteration(v, 0.01, config, grid, None)
-        assert any(clamped[2:])          # from iteration 3 on, u is a mixed iterate
+        forward = clamped[::2]           # r*S; the odd calls carry k*uhat
+        assert len(forward) == iterations
+        assert any(forward[2:])          # from iteration 3 on, u is a mixed iterate
         assert np.all(np.isfinite(u)) and np.isfinite(rho)
         assert np.all(np.isfinite(history))
         assert iterations < config.max_outer
+
+    def test_non_finite_iterate_is_a_convergence_error(self, gauss_small, monkeypatch):
+        # a NaN from the inverse transform of step 2 reaches max|G(u) - u|
+        config = SolverConfig(n=2047, r_max=60.0)
+        calls = [0]
+        inner = solver.dst1
+
+        def poisoned(x):
+            calls[0] += 1
+            out = inner(x)
+            if calls[0] == 4:
+                out[-1] = np.nan
+            return out
+
+        monkeypatch.setattr(solver, "dst1", poisoned)
+        with pytest.raises(ConvergenceError, match="not finite") as info:
+            _fourier_iteration(gauss_small, 0.3, config, gauss_small.grid, None)
+        assert len(info.value.history) == 2 and np.isnan(info.value.history[-1])
+        calls[0] = 0
+        with pytest.warns(QualityWarning, match="falling back"):
+            state = solve_fixed_e(gauss_small, 0.3, config)
+        assert state.scheme_used.endswith("(fallback)")
+        state.require_invariants()
 
 
 class TestSolveFixedRho:
@@ -252,6 +282,26 @@ class TestSolveFixedRho:
         lo = solve_fixed_e(gauss_small, target * v1 / 4.0, config)
         hi = solve_fixed_e(gauss_small, target * v1 / 2.0, config)
         assert lo.rho <= target <= hi.rho
+
+    def test_inversion_builds_one_state(self, monkeypatch):
+        # the bracket and Brent probes keep (u, rho) only; when each of the 18
+        # probes built a state, the root was this same (e, rho)
+        target = 0.05
+        config = SolverConfig(n=4095, r_max=400.0 / np.sqrt(2.0 * target))
+        v = gaussian_potential(1.0, 1.0, config.grid_for(2.0 * target))
+        builds = []
+        inner = solver._build_state
+
+        def counting(*args):
+            builds.append(args[1])
+            return inner(*args)
+
+        monkeypatch.setattr(solver, "_build_state", counting)
+        state = solve_fixed_rho(v, target, config)
+        assert builds == [state.e]
+        assert state.e == pytest.approx(0.11921230961654893, rel=1e-12)
+        assert state.rho == pytest.approx(0.049999999999993244, rel=1e-12)
+        state.require_invariants()
 
     def test_rejects_nonpositive_target(self, gauss_small):
         with pytest.raises(ConfigurationError):
@@ -337,6 +387,30 @@ class TestSweep:
         record = sweep(gauss_small, np.geomspace(0.05, 0.3, 4), SolverConfig(n=4095))
         assert all(row.state.normalization_defect() <= 1e-6 for row in record.rows)
 
+    def test_fd_check_builds_one_state_per_row(self, gauss_small, monkeypatch):
+        # the FD pair of each row keeps rho only: 9 states and 172 DST-I calls
+        # when it built full states from u, 3 and 136 now
+        builds, transforms = [], [0]
+        build, dst1 = solver._build_state, grids.dst1
+
+        def counting_build(*args):
+            builds.append(args[1])
+            return build(*args)
+
+        def counting_dst1(x):
+            transforms[0] += 1
+            return dst1(x)
+
+        monkeypatch.setattr(solver, "_build_state", counting_build)
+        for module in (grids, operators, solver):
+            monkeypatch.setattr(module, "dst1", counting_dst1)
+        record = sweep(gauss_small, [0.1, 0.2, 0.4], SolverConfig(n=4095), fd_check=True)
+        assert all(row.error is None for row in record.rows)
+        assert builds == [0.1, 0.2, 0.4]
+        assert transforms[0] <= 136
+        for row in record.rows:
+            assert row.rho_prime_analytic == pytest.approx(row.rho_prime_fd, rel=1e-3)
+
     def test_rejects_unsorted_e(self, gauss_small):
         with pytest.raises(ConfigurationError):
             sweep(gauss_small, [0.3, 0.1], SolverConfig(n=2047, r_max=60.0))
@@ -386,6 +460,20 @@ class TestTailImages:
             np.testing.assert_allclose(_image_sum(r, grid.r_max, power),
                                        brute_force_images(r, grid.r_max, power),
                                        rtol=1e-9, atol=0.0)
+
+    def test_series_keeps_precision_near_the_origin(self):
+        # the zeta difference lost ~1e-11 relative at the first node here;
+        # the two-term expansion is exact to O(x^4) ~ 1e-22 relative
+        grid = make_grid(161999, 40000.0)
+        r = grid.r[:8]
+        x = r / (2.0 * grid.r_max)
+        for power in (4.0, 6.0):
+            q = power - 1.0
+            leading = -2.0 * x * (q * zeta(q + 1.0)
+                                  + binom(q + 2.0, 3.0) * zeta(q + 3.0) * x**2)
+            expected = (2.0 * grid.r_max) ** (-q) * leading / r
+            np.testing.assert_allclose(_image_sum(r, grid.r_max, power), expected,
+                                       rtol=1e-14, atol=0.0)
 
     def test_built_lazily_once_per_grid_and_read_only(self, gauss_small):
         config = SolverConfig(n=2047, r_max=61.0)
