@@ -19,7 +19,8 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -30,48 +31,61 @@ from .grids import auto_r_max, fast_grid_size
 from .observables import beta_moment, bound_audit, observables_report
 from .potentials import (ExplicitSolutionSpec, explicit_potential,
                          gaussian_potential, potential_from_file)
-from .solver import (CROSS_VALIDATED, FOURIER, MONOTONE, SolverConfig,
-                     solve_fixed_e, solve_fixed_rho, sweep)
+from .solver import (FOURIER, SCHEMES, SolverConfig, solve_fixed_e, solve_fixed_rho,
+                     sweep)
 
 SCHEMA_VERSION = 1
 
 MODES = ("solve", "sweep", "invert", "observables", "audit", "validate-explicit")
 POTENTIALS = ("gaussian", "explicit", "tabulated")
 
-# every accepted configuration key with its parser
-_KEY_TYPES = {
-    "mode": str, "potential": str, "scheme": str, "out": str, "format": str,
-    "table": str,
-    "e": float, "e_min": float, "e_max": float, "rho": float,
-    "amp": float, "width": float, "b": float, "c": float, "v_e": float,
-    "r_max": float, "k_min": float, "k_max": float,
-    "e_steps": int, "grid_n": int, "k_steps": int,
+# the keys each mode, and each potential, requires
+_REQUIRES = {
+    "solve": ("e", "potential"), "observables": ("e", "potential"),
+    "audit": ("e", "potential"), "sweep": ("e_min", "e_max", "e_steps", "potential"),
+    "invert": ("rho", "potential"), "validate-explicit": ("b", "c", "e"),
+    "gaussian": ("amp", "width"), "explicit": ("b", "c"), "tabulated": ("table",),
 }
+
+
+def _key(default=None, *, choices=None, positive=False, help=None):
+    return field(default=default,
+                 metadata={"choices": choices, "positive": positive, "help": help})
 
 
 @dataclass
 class RunConfig:
-    mode: str
-    potential: str | None = None
-    table: str | None = None
-    amp: float | None = None
-    width: float | None = None
-    b: float | None = None
-    c: float | None = None
-    v_e: float | None = None
-    e: float | None = None
-    e_min: float | None = None
-    e_max: float | None = None
-    e_steps: int | None = None
-    rho: float | None = None
-    grid_n: int | None = None
-    r_max: float | None = None
-    scheme: str = FOURIER
-    k_min: float | None = None
-    k_max: float | None = None
-    k_steps: int = 24
-    out: str = "report"
-    format: str = "csv"
+    """Every configuration key, declared once. A field is both the file key
+    and the flag (its name dashed); its metadata holds the allowed values,
+    whether it must be positive and finite, and its help text."""
+
+    mode: str = _key(MISSING, choices=MODES)
+    potential: str | None = _key(choices=POTENTIALS)
+    table: str | None = _key(help="two-column (r, v) text file")
+    amp: float | None = _key(positive=True)
+    width: float | None = _key(positive=True)
+    b: float | None = _key(positive=True)
+    c: float | None = _key()
+    v_e: float | None = _key(positive=True,
+                             help="construction energy of the explicit potential")
+    e: float | None = _key(positive=True)
+    e_min: float | None = _key(positive=True)
+    e_max: float | None = _key(positive=True)
+    e_steps: int | None = _key(positive=True)
+    rho: float | None = _key(positive=True)
+    grid_n: int | None = _key()
+    r_max: float | None = _key(positive=True)
+    scheme: str = _key(FOURIER, choices=SCHEMES)
+    k_min: float | None = _key(positive=True)
+    k_max: float | None = _key(positive=True)
+    k_steps: int = _key(24, positive=True)
+    out: str = _key("report")
+    format: str = _key("csv", choices=("csv", "json"))
+
+
+# each key's value parser: its annotation with None dropped
+_PARSERS = {name: next(t for t in get_args(hint) or (hint,) if t is not type(None))
+            for name, hint in get_type_hints(RunConfig).items()}
 
 
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
@@ -88,78 +102,44 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         key, _, value = body.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key not in _KEY_TYPES:
+        if key not in _PARSERS:
             errors.append(f"line {lineno}: unknown key {key!r}")
             continue
         try:
-            raw[key] = _KEY_TYPES[key](value)
+            raw[key] = _PARSERS[key](value)
         except ValueError:
             errors.append(f"line {lineno}: cannot parse {key}={value!r} as "
-                          f"{_KEY_TYPES[key].__name__}")
+                          f"{_PARSERS[key].__name__}")
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in _KEY_TYPES:
+        if key not in _PARSERS:
             errors.append(f"unknown option {key!r}")
             continue
         raw[key] = value
 
-    mode = raw.get("mode")
-    if mode is None:
-        errors.append("missing required key 'mode'")
-    elif mode not in MODES:
-        errors.append(f"unknown mode {mode!r}; expected one of {MODES}")
-
-    if mode in ("solve", "observables", "audit"):
-        if "e" not in raw:
-            errors.append(f"mode={mode} requires 'e'")
-        if "potential" not in raw:
-            errors.append(f"mode={mode} requires 'potential'")
-    elif mode == "sweep":
-        for key in ("e_min", "e_max", "e_steps"):
-            if key not in raw:
-                errors.append(f"mode=sweep requires '{key}'")
-        if "potential" not in raw:
-            errors.append("mode=sweep requires 'potential'")
-    elif mode == "invert":
-        if "rho" not in raw:
-            errors.append("mode=invert requires 'rho'")
-        if "potential" not in raw:
-            errors.append("mode=invert requires 'potential'")
-    elif mode == "validate-explicit":
-        for key in ("b", "c", "e"):
-            if key not in raw:
-                errors.append(f"mode=validate-explicit requires '{key}'")
-
-    pot = raw.get("potential")
-    if pot is not None and pot not in POTENTIALS:
-        errors.append(f"unknown potential {pot!r}; expected one of {POTENTIALS}")
-    if pot == "gaussian":
-        for key in ("amp", "width"):
-            if key not in raw:
-                errors.append(f"potential=gaussian requires '{key}'")
-    elif pot == "explicit":
-        for key in ("b", "c"):
-            if key not in raw:
-                errors.append(f"potential=explicit requires '{key}'")
-        if mode in ("sweep", "invert") and "v_e" not in raw:
-            errors.append("potential=explicit needs 'v_e' for sweep/invert "
-                          "(the potential is built at a fixed energy)")
-    elif pot == "tabulated":
-        if "table" not in raw:
-            errors.append("potential=tabulated requires 'table'")
-    if raw.get("scheme") not in (None, FOURIER, MONOTONE, CROSS_VALIDATED):
-        errors.append(f"unknown scheme {raw.get('scheme')!r}")
-    if raw.get("format") not in (None, "csv", "json"):
-        errors.append(f"unknown format {raw.get('format')!r} (csv or json)")
-    for key in ("e", "e_min", "e_max", "rho", "amp", "width", "b", "v_e", "r_max"):
-        if key in raw and raw[key] is not None and not 0 < raw[key] < np.inf:
-            errors.append(f"'{key}' must be positive and finite, got {raw[key]}")
+    for f in fields(RunConfig):
+        value = raw.get(f.name)
+        if value is None:
+            if f.default is MISSING:
+                errors.append(f"missing required key {f.name!r}")
+        elif f.metadata["choices"] and value not in f.metadata["choices"]:
+            errors.append(f"unknown {f.name} {value!r}; expected one of "
+                          f"{f.metadata['choices']}")
+        elif f.metadata["positive"] and not 0 < value < np.inf:
+            errors.append(f"'{f.name}' must be positive and finite, got {value}")
+    for kind, names in (("mode", MODES), ("potential", POTENTIALS)):
+        if raw.get(kind) in names:
+            errors += [f"{kind}={raw[kind]} requires '{key}'"
+                       for key in _REQUIRES[raw[kind]] if key not in raw]
+    if (raw.get("potential") == "explicit" and raw.get("mode") in ("sweep", "invert")
+            and "v_e" not in raw):
+        errors.append("potential=explicit needs 'v_e' for sweep/invert "
+                      "(the potential is built at a fixed energy)")
 
     if errors:
         raise ConfigurationError(errors)
-    known = {f.name for f in fields(RunConfig)}
-    return RunConfig(**{k: v for k, v in raw.items() if k in known})
+    return RunConfig(**raw)
 
 
 # ---------------------------------------------------------------------------
@@ -429,28 +409,9 @@ def build_argparser() -> argparse.ArgumentParser:
         description="Ground-state pair-correlation solver for the repulsive Bose gas",
     )
     parser.add_argument("--config", help="key=value config file ('#' comments)")
-    parser.add_argument("--mode", choices=MODES)
-    parser.add_argument("--potential", choices=POTENTIALS)
-    parser.add_argument("--table", help="two-column (r, v) text file")
-    parser.add_argument("--amp", type=float)
-    parser.add_argument("--width", type=float)
-    parser.add_argument("--b", type=float)
-    parser.add_argument("--c", type=float)
-    parser.add_argument("--v-e", dest="v_e", type=float,
-                        help="construction energy of the explicit potential")
-    parser.add_argument("--e", type=float)
-    parser.add_argument("--e-min", dest="e_min", type=float)
-    parser.add_argument("--e-max", dest="e_max", type=float)
-    parser.add_argument("--e-steps", dest="e_steps", type=int)
-    parser.add_argument("--rho", type=float)
-    parser.add_argument("--grid-n", dest="grid_n", type=int)
-    parser.add_argument("--r-max", dest="r_max", type=float)
-    parser.add_argument("--scheme", choices=(FOURIER, MONOTONE, CROSS_VALIDATED))
-    parser.add_argument("--k-min", dest="k_min", type=float)
-    parser.add_argument("--k-max", dest="k_max", type=float)
-    parser.add_argument("--k-steps", dest="k_steps", type=int)
-    parser.add_argument("--out")
-    parser.add_argument("--format", choices=("csv", "json"))
+    for f in fields(RunConfig):
+        parser.add_argument("--" + f.name.replace("_", "-"), type=_PARSERS[f.name],
+                            choices=f.metadata["choices"], help=f.metadata["help"])
     return parser
 
 

@@ -37,8 +37,7 @@ def bogolyubov_depletion(rho_a0_cubed: float) -> float:
 def _solve_frakKe(state: SolutionState, payload: RadialField, cache_key: str) -> RadialField:
     if cache_key not in state._cache:
         state._cache[cache_key] = require_converged(
-            apply_frakKe(payload, state.context, tol=state.config.inner_tol,
-                         max_iter=state.config.inner_max_iter),
+            apply_frakKe(payload, state.context, tol=state.config.inner_tol),
             f"fK_e solve for {cache_key}")
     return state._cache[cache_key]
 
@@ -77,10 +76,7 @@ def condensate_depletion(state: SolutionState) -> float:
     v_vals = state.potential.samples.values
     ku = _solve_frakKe(state, state.u, "frakKe_u")
     numerator = state.rho * grid.integrate(v_vals * ku.values)
-    denominator = shared_denominator(state)
-    if denominator <= 0.0:
-        state._cache["eta_flagged"] = True
-    eta = numerator / denominator
+    eta = numerator / shared_denominator(state)
 
     payload = RadialField(
         grid,
@@ -88,9 +84,7 @@ def condensate_depletion(state: SolutionState) -> float:
         - 2.0 * state.u.values - 4.0 * eta * state.u.values,
         POSITION,
     )
-    s_field, report = apply_frakKe(payload, state.context,
-                                   tol=state.config.inner_tol,
-                                   max_iter=state.config.inner_max_iter)
+    s_field, report = apply_frakKe(payload, state.context, tol=state.config.inner_tol)
     if report.converged:
         eta_s = -0.5 * state.rho * grid.integrate(s_field.values * v_vals)
         state._cache["eta_consistency"] = abs(eta_s - eta) / max(abs(eta), 1e-300)
@@ -389,8 +383,7 @@ def bound_audit(state: SolutionState, sweep: SweepRecord | None = None,
         worst_ratio = 0.0
         for psi in random_nonneg_fields(grid, count=10, seed=seed):
             out = require_converged(
-                apply_frakKe(psi, state.context, tol=state.config.inner_tol,
-                             max_iter=state.config.inner_max_iter),
+                apply_frakKe(psi, state.context, tol=state.config.inner_tol),
                 "fK_e probe solve during audit")
             ratio = out.norm_l2() / (frakKe_l2_bound(e) * psi.integral())
             worst_ratio = max(worst_ratio, ratio)

@@ -33,7 +33,6 @@ class QualityWarning(UserWarning):
 class PotentialNorms:
     v_l1: float
     v_l2: float
-    v_l8: float
     x2v_l1: float
     x4v_l1: float
 
@@ -99,7 +98,6 @@ class Potential:
         return PotentialNorms(
             v_l1=self._radial_integral(0),
             v_l2=self._radial_integral(0, 2.0) ** 0.5,
-            v_l8=self._radial_integral(0, 8.0) ** 0.125,
             x2v_l1=self._radial_integral(2),
             x4v_l1=self._radial_integral(4) if self.x4v_finite else np.inf,
         )

@@ -50,24 +50,25 @@ from scipy.special import binom, zeta
 from .errors import ConfigurationError, ConvergenceError, InvariantViolation
 from .grids import (FREQUENCY, POSITION, RadialField, RadialGrid, auto_r_max,
                     convolve, dst1, fourier_radial, inverse_fourier_radial, make_grid)
-from .operators import (OperatorContext, _preconditioned_cg, apply_frakKe, apply_Ke,
-                        require_converged)
+from .operators import (MAX_ITER, OperatorContext, _preconditioned_cg, apply_frakKe,
+                        apply_Ke, require_converged)
 from .potentials import Potential, QualityWarning
 
 FOURIER = "fourier_self_consistent"
 MONOTONE = "real_space_monotone"
 CROSS_VALIDATED = "cross_validated"
-_SCHEMES = (FOURIER, MONOTONE, CROSS_VALIDATED)
+SCHEMES = (FOURIER, MONOTONE, CROSS_VALIDATED)
 _ANDERSON_DEPTH = 2     # past differences mixed by the k-space iteration
 _STALL_WINDOW = 25      # k-space steps without a new minimum of max|f| before hand-over
 _IMAGE_TERMS = 44       # odd terms of the image series; the last is < 1e-20 relative at x = 1/2
+_FD_REL_STEP = 1e-4     # de / e of the centered difference in rho_prime_fd
+_INVERSION_RTOL = 1e-8  # |rho - target| / target accepted at the root of solve_fixed_rho
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     n: int = 4095                       # n+1 5-smooth: a fast DST-I
-    r_max: float | None = None          # None: auto healing-length scaling
-    r_max_scale: float = 40.0
+    r_max: float | None = None          # None: auto_r_max(e_min), 40 healing lengths
     outer_tol: float = 1e-10
     max_outer: int = 500
     scheme: str = FOURIER
@@ -76,19 +77,17 @@ class SolverConfig:
     above it, higher for larger n and rougher payloads (fK_e u: ~2e-12 at
     n=4095, 6e-11 at n=161999); below that, ``final_residual`` is the CG
     recurrence's estimate."""
-    inner_max_iter: int = 10_000
-    warm_start: bool = True             # continuation across sweep rows
 
     def __post_init__(self):
         if self.n < 16:
             raise ConfigurationError(f"solver grids need n >= 16, got {self.n}")
-        if self.scheme not in _SCHEMES:
-            raise ConfigurationError(f"unknown scheme {self.scheme!r}; pick one of {_SCHEMES}")
+        if self.scheme not in SCHEMES:
+            raise ConfigurationError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
         if self.outer_tol <= 10.0 * self.inner_tol:
             raise ConfigurationError("outer_tol must exceed 10x the inner tolerance")
 
     def r_max_for(self, e_min: float) -> float:
-        return self.r_max if self.r_max is not None else auto_r_max(e_min, self.r_max_scale)
+        return self.r_max if self.r_max is not None else auto_r_max(e_min)
 
     def grid_for(self, e_min: float) -> RadialGrid:
         return make_grid(self.n, self.r_max_for(e_min))
@@ -154,8 +153,7 @@ class SolutionState:
         if "frakKe_v" not in self._cache:
             self._cache["frakKe_v"] = require_converged(apply_frakKe(
                 self.potential.samples, self.context,
-                tol=self.config.inner_tol, max_iter=self.config.inner_max_iter,
-            ), "fK_e v solve")
+                tol=self.config.inner_tol), "fK_e v solve")
         return self._cache["frakKe_v"]
 
     def normalization_defect(self) -> float:
@@ -414,11 +412,11 @@ def _monotone_iteration(v: Potential, e: float, config: SolverConfig, grid: Radi
 
     def solve(psi, multiplier, what):
         return require_converged(_preconditioned_cg(
-            grid, psi, v_vals, multiplier, config.inner_tol, config.inner_max_iter),
+            grid, psi, v_vals, multiplier, config.inner_tol, MAX_ITER),
             f"Newton solve for {what} on step {it}", history)
 
-    d = require_converged(apply_Ke(v.samples, e, v, tol=config.inner_tol,
-                                   max_iter=config.inner_max_iter), "K_e v solve").values
+    d = require_converged(apply_Ke(v.samples, e, v, tol=config.inner_tol),
+                          "K_e v solve").values
     u = np.zeros(grid.n)
     rho = _density(e, _constraint_integral(v, u, grid), history)
     monotone = True
@@ -594,9 +592,7 @@ def u_prime(state: SolutionState, rho_prime_value: float) -> RadialField:
         + (2.0 * state.rho + 2.0 * state.e * rho_prime_value) * conv,
         POSITION,
     )
-    return require_converged(apply_frakKe(payload, state.context,
-                                          tol=state.config.inner_tol,
-                                          max_iter=state.config.inner_max_iter),
+    return require_converged(apply_frakKe(payload, state.context, tol=state.config.inner_tol),
                              "fK_e solve for u'")
 
 
@@ -620,14 +616,15 @@ def u_prime_integral(state: SolutionState, uprime: RadialField,
     return corrected_field_integral(uprime.values, grid, TailModel(c4p, c6p, state.tail.window))
 
 
-def rho_prime_fd(v: Potential, state: SolutionState, rel_step: float = 1e-4) -> float:
-    """Centered finite difference of rho(e) by two re-solves on the state's grid.
+def rho_prime_fd(v: Potential, state: SolutionState) -> float:
+    """Centered finite difference of rho(e) by two re-solves at e +- de,
+    de = _FD_REL_STEP e, on the state's grid.
 
     Only rho is kept, so neither re-solve builds a state. The upper one starts
     from u(e); the lower one from the reflection 2 u(e) - u(e + de), whose
     error is O(de^2) rather than O(de).
     """
-    de = rel_step * state.e
+    de = _FD_REL_STEP * state.e
     v = v.resampled(state.grid)
     u = state.u.values
     u_hi, rho_hi, *_ = _solve(v, state.e + de, state.config, v.grid, u)
@@ -684,7 +681,7 @@ def sweep(v: Potential, e_values, config: SolverConfig | None = None,
     """Warm-started continuation over an increasing e-grid.
 
     Produces rho, analytic rho', finite-difference rho' (from neighbor rows,
-    or dedicated +-1e-4 e solves when ``fd_check``), rho'' by centered
+    or ``rho_prime_fd`` re-solves when ``fd_check``), rho'' by centered
     differencing of the analytic rho' column, the convexity indicator
     2 rho'^2 - rho rho'', and the e*rho(e) monotonicity flags. A row that
     fails to solve, or whose state breaks ``require_invariants``, records the
@@ -703,8 +700,7 @@ def sweep(v: Potential, e_values, config: SolverConfig | None = None,
     for e in e_values:
         row = SweepRow(e=float(e), regime=_regime_label(float(e), v))
         try:
-            state = solve_fixed_e(v, float(e), cfg,
-                                  u0=u_prev if config.warm_start else None)
+            state = solve_fixed_e(v, float(e), cfg, u0=u_prev)
             row.state = state
             state.require_invariants()
             row.rho = state.rho
@@ -751,9 +747,8 @@ def sweep(v: Potential, e_values, config: SolverConfig | None = None,
 
 
 def solve_fixed_rho(v: Potential, rho_target: float,
-                    config: SolverConfig | None = None,
-                    rho_rtol: float = 1e-8) -> SolutionState:
-    """Invert rho(e): find e with rho(e) = rho_target.
+                    config: SolverConfig | None = None) -> SolutionState:
+    """Invert rho(e): find e with rho(e) = rho_target, to _INVERSION_RTOL.
 
     The initial bracket [rho ||v||_1 / 4, rho ||v||_1 / 2] is guaranteed by
     the density bracket 2e/||v||_1 <= rho(e) <= 4e/||v||_1. If the bracket
@@ -774,15 +769,15 @@ def solve_fixed_rho(v: Potential, rho_target: float,
     warm: list = [None]
 
     def rho_defect(e: float) -> float:
-        solved = _solve(v, e, cfg, v.grid, warm[0])
-        warm[0] = solved[0]
-        cache[e] = solved
-        return solved[1] / rho_target - 1.0
+        if e not in cache:      # brentq re-evaluates the bracket ends
+            cache[e] = _solve(v, e, cfg, v.grid, warm[0])
+            warm[0] = cache[e][0]
+        return cache[e][1] / rho_target - 1.0
 
     def root_state(e: float) -> SolutionState:
         solved = cache.get(e) or _solve(v, e, cfg, v.grid, warm[0])
         defect = abs(solved[1] - rho_target) / rho_target
-        if defect > rho_rtol:
+        if defect > _INVERSION_RTOL:
             raise ConvergenceError(
                 f"density inversion stopped at |rho - target|/target = {defect:.3e}"
             )

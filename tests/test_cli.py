@@ -1,10 +1,16 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from bosegas import ConfigurationError
-from bosegas.cli import emit, main, parse_config, run
+from bosegas.cli import RunConfig, build_argparser, emit, main, parse_config, run
+
+GAUSS = ["--potential", "gaussian", "--amp", "1", "--width", "1"]
+SOLVE = ["--mode", "solve"] + GAUSS
+SWEEP = ["--mode", "sweep"] + GAUSS + ["--e-min", "1e-3", "--e-max", "0.3"]
+OBSERVABLES = ["--mode", "observables"] + GAUSS + ["--e", "1e-3"]
 
 
 class TestParseConfig:
@@ -44,6 +50,33 @@ class TestParseConfig:
         cfg = parse_config("mode=solve\npotential=gaussian\namp=1\nwidth=1\ne=1",
                            overrides={"e": 2.0})
         assert cfg.e == 2.0
+
+    def test_every_field_is_a_flag_and_a_file_key(self, tmp_path):
+        values = {"mode": "sweep", "potential": "explicit", "table": "v.dat",
+                  "amp": "2", "width": "0.5", "b": "1", "c": "0.5", "v_e": "0.1",
+                  "e": "0.3", "e_min": "1e-3", "e_max": "0.3", "e_steps": "5",
+                  "rho": "0.05", "grid_n": "4095", "r_max": "400",
+                  "scheme": "cross_validated", "k_min": "0.1", "k_max": "2",
+                  "k_steps": "8", "out": "x", "format": "json"}
+        assert set(values) == {f.name for f in fields(RunConfig)}
+        parser = build_argparser()
+        flags = {opt for action in parser._actions for opt in action.option_strings}
+        assert flags - {"-h", "--help"} == {"--config"} | {
+            "--" + name.replace("_", "-") for name in values}
+        from_file = parse_config("\n".join(f"{k}={v}" for k, v in values.items()))
+        for name, value in values.items():
+            text = "\n".join(f"{k}={v}" for k, v in values.items() if k != name)
+            args = parser.parse_args(["--" + name.replace("_", "-"), value])
+            overrides = {k: v for k, v in vars(args).items() if k != "config"}
+            assert parse_config(text, overrides) == from_file, name
+
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("mode=solve\npotential=gaussian\namp=1\nwidth=1\ne=1\n"
+                       "scheme=newton\n")
+        assert main(["--config", str(cfg)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(SOLVE + ["--e", "1", "--scheme", "newton"])
+        assert exc.value.code == 2
 
 
 class TestRunModes:
@@ -87,13 +120,20 @@ class TestRunModes:
         assert "K_e v solve stalled" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("flags", [["--e", "nan"],
-                                       ["--e", "0.01", "--r-max", "nan"],
-                                       ["--e", "0.01", "--r-max", "inf"],
-                                       ["--e", "inf"]])
+    @pytest.mark.parametrize("flags", [
+        SOLVE + ["--e", "nan"],
+        SOLVE + ["--e", "0.01", "--r-max", "nan"],
+        SOLVE + ["--e", "0.01", "--r-max", "inf"],
+        SOLVE + ["--e", "inf"],
+        SWEEP + ["--e-steps", "0"],
+        SWEEP + ["--e-steps", "-2"],
+        OBSERVABLES + ["--k-min", "0.05", "--k-max", "0.4", "--k-steps", "-1"],
+        OBSERVABLES + ["--k-min", "-1"],
+        OBSERVABLES + ["--k-max", "inf"],
+        OBSERVABLES + ["--k-max", "nan"],
+    ])
     def test_non_finite_input_exits_2(self, flags, capsys):
-        code = main(["--mode", "solve", "--potential", "gaussian", "--amp", "1",
-                     "--width", "1"] + flags)
+        code = main(flags)
         assert code == 2
         assert "must be positive and finite" in capsys.readouterr().err
 

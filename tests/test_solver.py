@@ -284,21 +284,28 @@ class TestSolveFixedRho:
         assert lo.rho <= target <= hi.rho
 
     def test_inversion_builds_one_state(self, monkeypatch):
-        # the bracket and Brent probes keep (u, rho) only; when each of the 18
-        # probes built a state, the root was this same (e, rho)
+        # the bracket and Brent probes keep (u, rho) only, and each e is solved
+        # once although brentq re-evaluates the bracket ends; the root (e, rho)
+        # is the one found when every probe built a state
         target = 0.05
         config = SolverConfig(n=4095, r_max=400.0 / np.sqrt(2.0 * target))
         v = gaussian_potential(1.0, 1.0, config.grid_for(2.0 * target))
-        builds = []
-        inner = solver._build_state
+        builds, solves = [], []
+        inner_build, inner_solve = solver._build_state, solver._solve
 
-        def counting(*args):
+        def counting_build(*args):
             builds.append(args[1])
-            return inner(*args)
+            return inner_build(*args)
 
-        monkeypatch.setattr(solver, "_build_state", counting)
+        def counting_solve(*args):
+            solves.append(args[1])
+            return inner_solve(*args)
+
+        monkeypatch.setattr(solver, "_build_state", counting_build)
+        monkeypatch.setattr(solver, "_solve", counting_solve)
         state = solve_fixed_rho(v, target, config)
         assert builds == [state.e]
+        assert len(solves) == len(set(solves))
         assert state.e == pytest.approx(0.11921230961654893, rel=1e-12)
         assert state.rho == pytest.approx(0.049999999999993244, rel=1e-12)
         state.require_invariants()
