@@ -128,6 +128,9 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
                           f"{f.metadata['choices']}")
         elif f.metadata["positive"] and not 0 < value < np.inf:
             errors.append(f"'{f.name}' must be positive and finite, got {value}")
+    if "k_min" in raw and "k_max" in raw and not raw["k_min"] < raw["k_max"]:
+        errors.append(f"'k_max - k_min' must be positive and finite, got "
+                      f"{raw['k_max'] - raw['k_min']} (the momentum window is empty)")
     for kind, names in (("mode", MODES), ("potential", POTENTIALS)):
         if raw.get(kind) in names:
             errors += [f"{kind}={raw[kind]} requires '{key}'"

@@ -3,22 +3,31 @@
 Four operators, all positivity preserving for repulsive v:
 
   G_e  = (-Delta + 4e)^-1                       diagonal in k
-  K_e  = (-Delta + v + 4e)^-1                   conjugate gradients, G_e preconditioned
+  K_e  = (-Delta + v + 4e)^-1                   conjugate gradients
   Y_e  = (-Delta + 4e(1 - C_{rho u}))^-1        diagonal in k
-  fK_e = (-Delta + v + 4e(1 - C_{rho u}))^-1    conjugate gradients, Y_e preconditioned
+  fK_e = (-Delta + v + 4e(1 - C_{rho u}))^-1    conjugate gradients
 
 C_{rho u} is convolution by rho*u (a probability density), so Y_e's Fourier
 multiplier is 1/(k^2 + 4e(1 - rho*uhat(k))), bounded below by sqrt(8e)|k|.
 With v >= 0 both K_e^-1 and fK_e^-1 are self-adjoint and positive in the
 r^2 dr inner product, which is what conjugate gradients needs.
+
+K_e and fK_e are both (kM + v)^-1 with kM diagonal in k (G_e^-1, Y_e^-1),
+solved by one CG kernel. Its preconditioner inverts kM + v exactly where v
+lives on at most _SUPPORT_MAX grid nodes (a capacitance-matrix correction
+to kM^-1), so such solves take one or two iterations whatever the strength
+of v; for a wider support it is kM^-1 alone. An OperatorContext builds that
+correction (a Capacitance) once for all its fK_e solves.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigurationError, ConvergenceError, InvariantViolation
 from .grids import (FREQUENCY, POSITION, RadialField, RadialGrid, dst1,
@@ -28,6 +37,8 @@ from .potentials import Potential, QualityWarning
 DEFAULT_TOL = 1e-10
 MAX_ITER = 10_000
 POSITIVITY_SLACK = 1e-10
+_SUPPORT_RTOL = 1e-14    # v above this fraction of max v is on the preconditioner's support
+_SUPPORT_MAX = 256       # largest support treated exactly; a wider one gets no correction
 
 
 @dataclass(frozen=True)
@@ -78,6 +89,12 @@ class OperatorContext:
         k = self.grid.k
         return k * k + 4.0 * self.e * (1.0 - self.rho_u_hat.values)
 
+    @cached_property
+    def capacitance(self) -> Capacitance:
+        """fK_e's preconditioner correction, built on first use and shared by
+        every solve in this context."""
+        return Capacitance(self.grid, self.multiplier(), self.v.samples.values)
+
 
 def _multiply_in_k(psi: RadialField, multiplier: np.ndarray) -> RadialField:
     """Transform to k, scale by a Fourier multiplier, transform back."""
@@ -119,40 +136,104 @@ def apply_Ye(psi: RadialField, ctx: OperatorContext) -> RadialField:
     return RadialField(psi.grid, vals, POSITION)
 
 
-def _preconditioned_cg(grid: RadialGrid, psi: np.ndarray, v_values: np.ndarray,
-                       multiplier: np.ndarray, tol: float, max_iter: int):
-    """Solve (kM + v) w = psi on raw arrays, kM diagonal in k with entries
-    ``multiplier``.
+def _kM_inverse_scale(grid: RadialGrid, multiplier: np.ndarray) -> np.ndarray:
+    """q with kM^-1 y = dst1(dst1(y) q) on y = r*w: DST-I twice is 2(n+1)
+    times the identity."""
+    return 1.0 / (2.0 * (grid.n + 1) * multiplier)
 
-    Conjugate gradients in the r^2 dr inner product, preconditioned by kM^-1,
-    run on y = r*w: there the inner product is a plain dot (its 4 pi dr
-    cancels in every ratio) and, since DST-I twice is 2(n+1) times the
-    identity, kM^-1 is dst1(dst1(y) q) with q = 1/(2(n+1) multiplier). kM p
-    follows from the recurrence kM p <- r + beta kM p, so an iteration costs
-    two DST-I calls. Stops when the recursively updated relative residual
-    ||r|| / ||psi|| reaches ``tol``; the true residual of w levels off above
-    1e-12 relative, so checking it against a tighter tol would never stop.
-    A breakdown (r.z or p.Ap not positive, e.g. by underflow) ends the solve
-    unconverged. Returns (w values, LinearSolveReport).
+
+class Capacitance:
+    """Correction that turns the CG preconditioner kM^-1 into M^-1, where
+    M = kM + P D P^T on y = r*w, kM is diagonal in k with entries
+    ``multiplier``, P selects the m nodes where v > _SUPPORT_RTOL max v and
+    D = diag(v) there.
+
+    As a matrix kM^-1 = dst1(dst1(.) q) is Toeplitz minus Hankel,
+    (kM^-1)_ij = c(|i-j|) - c(i+j+2) with c the DCT-I of [0, q, 0], even
+    about N = n+1. Its first column is c(i) - c(i+2), so (kM^-1)_ij is the
+    sum of that column over |i-j|, |i-j|+2, ..., i+j: two same-parity prefix
+    sums of one column, which costs one kM^-1 application and no m x n table
+    (and no transform of a new length). By Woodbury, M^-1 s = kM^-1 (s - P x)
+    with x = D^1/2 C^-1 D^1/2 (kM^-1 s)_P and C = I + D^1/2 (kM^-1)_PP D^1/2,
+    the capacitance matrix (Buzbee, Dorr, George & Golub 1971; Proskurowski &
+    Widlund 1976), Cholesky-factored once here. Only m-sized arrays are kept.
+
+    When the support of v has more than _SUPPORT_MAX nodes, m = 0 and M = kM.
+    """
+
+    def __init__(self, grid: RadialGrid, multiplier: np.ndarray, v_values: np.ndarray):
+        support = np.flatnonzero(v_values > _SUPPORT_RTOL * np.max(v_values))
+        self.support = support if support.size <= _SUPPORT_MAX else support[:0]
+        if self.support.size:
+            n = grid.n
+            unit = np.zeros(n)
+            unit[0] = 1.0
+            column = dst1(dst1(unit) * _kM_inverse_scale(grid, multiplier))
+            top = 2 * int(self.support[-1])     # the largest i + j
+            if top >= n:    # c even about N makes the column odd about index n
+                column = np.concatenate((column, [0.0], -column[:0:-1]))
+            # prefix[t + 2] = column[t] + column[t - 2] + ...
+            prefix = np.zeros(top + 3)
+            prefix[2::2] = np.cumsum(column[:top + 1:2])
+            prefix[3::2] = np.cumsum(column[1:top + 1:2])
+            i, j = self.support[:, None], self.support[None, :]
+            self.d_half = np.sqrt(v_values[self.support])
+            capacitance = self.d_half[:, None] * (prefix[i + j + 2] - prefix[np.abs(i - j)])
+            capacitance *= self.d_half
+            capacitance[np.diag_indices_from(capacitance)] += 1.0
+            self.factor = cho_factor(capacitance)
+
+    def residual(self, res: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """s - P x into ``out``, from s = ``res`` and z = kM^-1 s."""
+        x = self.d_half * cho_solve(self.factor, self.d_half * z[self.support])
+        np.copyto(out, res)
+        out[self.support] -= x
+        return out
+
+
+def _preconditioned_cg(grid: RadialGrid, psi: np.ndarray, v_values: np.ndarray,
+                       multiplier: np.ndarray, capacitance: Capacitance, tol: float,
+                       max_iter: int):
+    """Solve (kM + v) w = psi on raw arrays, kM diagonal in k with entries
+    ``multiplier``, preconditioned by M^-1, M = kM + v on the support of v
+    (see Capacitance).
+
+    Conjugate gradients in the r^2 dr inner product, run on y = r*w: there
+    the inner product is a plain dot (its 4 pi dr cancels in every ratio)
+    and v is diagonal. z = M^-1 r is kM^-1 (r - P x), and kM z = r - P x,
+    so kM p follows from the recurrence kM p <- (r - P x) + beta kM p. An
+    iteration costs four DST-I calls and an m x m triangular solve pair, or
+    two DST-I calls when m = 0 (then P x = 0 and M = kM). Stops when the
+    recursively updated relative residual ||r|| / ||psi|| reaches ``tol``;
+    the true residual of w levels off above 1e-12 relative, so checking it
+    against a tighter tol would never stop. A breakdown (r.z or p.Ap not
+    positive, e.g. by underflow) ends the solve unconverged. Returns
+    (w values, LinearSolveReport).
     """
     res_y = grid.r * psi
     psi_sq = float(np.dot(res_y, res_y))
     if psi_sq == 0.0:
         return np.zeros(grid.n), LinearSolveReport(0, 0.0, True)
-    q = 1.0 / (2.0 * (grid.n + 1) * multiplier)
+    q = _kM_inverse_scale(grid, multiplier)
+    corrected = capacitance.support.size > 0
     y, p, kMp, Ap = (np.zeros(grid.n) for _ in range(4))
+    kMz = np.empty(grid.n) if corrected else res_y    # r - P x
     res = 1.0                  # ||r|| / ||psi|| at w = 0
     rz_prev = np.inf           # makes the first beta zero
     for it in range(1, max_iter + 1):
         z = dst1(res_y)
         z *= q
         z = dst1(z)
+        if corrected:
+            z = dst1(capacitance.residual(res_y, z, kMz))
+            z *= q
+            z = dst1(z)
         rz = float(np.dot(res_y, z))
         beta = rz / rz_prev
         p *= beta
         p += z
         kMp *= beta
-        kMp += res_y
+        kMp += kMz
         np.multiply(v_values, p, out=Ap)
         Ap += kMp
         pAp = float(np.dot(p, Ap))
@@ -181,22 +262,23 @@ def require_converged(solved, what: str, history=None):
 def apply_Ke(psi: RadialField, e: float, v: Potential, tol: float = DEFAULT_TOL,
              max_iter: int = MAX_ITER) -> tuple[RadialField, LinearSolveReport]:
     """K_e psi = (-Delta + v + 4e)^-1 psi by conjugate gradients preconditioned
-    with G_e."""
+    with G_e^-1 + v on the support of v."""
     if e <= 0:
         raise ConfigurationError("apply_Ke needs e > 0")
-    out, report = _preconditioned_cg(
-        psi.grid, psi.values, v.samples.values, psi.grid.k**2 + 4.0 * e, tol, max_iter
-    )
+    g, v_values = psi.grid, v.samples.values
+    multiplier = g.k**2 + 4.0 * e
+    out, report = _preconditioned_cg(g, psi.values, v_values, multiplier,
+                                     Capacitance(g, multiplier, v_values), tol, max_iter)
     vals = _warn_ringing(out, psi.values, "K_e")
     return RadialField(psi.grid, vals, POSITION), report
 
 
 def apply_frakKe(psi: RadialField, ctx: OperatorContext, tol: float = DEFAULT_TOL,
                  max_iter: int = MAX_ITER) -> tuple[RadialField, LinearSolveReport]:
-    """fK_e psi by conjugate gradients preconditioned with Y_e."""
-    out, report = _preconditioned_cg(
-        psi.grid, psi.values, ctx.v.samples.values, ctx.multiplier(), tol, max_iter
-    )
+    """fK_e psi by conjugate gradients preconditioned with Y_e^-1 + v on the
+    support of v."""
+    out, report = _preconditioned_cg(psi.grid, psi.values, ctx.v.samples.values,
+                                     ctx.multiplier(), ctx.capacitance, tol, max_iter)
     vals = _warn_ringing(out, psi.values, "fK_e")
     return RadialField(psi.grid, vals, POSITION), report
 

@@ -50,8 +50,8 @@ from scipy.special import binom, zeta
 from .errors import ConfigurationError, ConvergenceError, InvariantViolation
 from .grids import (FREQUENCY, POSITION, RadialField, RadialGrid, auto_r_max,
                     convolve, dst1, fourier_radial, inverse_fourier_radial, make_grid)
-from .operators import (MAX_ITER, OperatorContext, _preconditioned_cg, apply_frakKe,
-                        apply_Ke, require_converged)
+from .operators import (MAX_ITER, Capacitance, OperatorContext, _preconditioned_cg,
+                        apply_frakKe, apply_Ke, require_converged)
 from .potentials import Potential, QualityWarning
 
 FOURIER = "fourier_self_consistent"
@@ -307,20 +307,12 @@ def _density(e: float, s0: float, history: list) -> float:
     return 2.0 * e / s0
 
 
-def _fourier_iteration(v: Potential, e: float, config: SolverConfig, grid: RadialGrid,
-                       u0: np.ndarray | None):
-    """Self-consistent k-space iteration; returns (u, rho, iterations, history).
-
-    Type-II Anderson mixing (Walker & Ni 2011) of the closed-form map G: the
-    next iterate is G(u) - dG gamma, where gamma fits f = G(u) - u in least
-    squares by the last ``_ANDERSON_DEPTH`` differences of f, dG holds those
-    of G; when max|f| grows the history restarts from its newest difference.
-    The fixed point is that of u = G(u); stops at max|f| <= outer_tol and
-    returns G(u) and its rho, or raises ConvergenceError once max|f| is not
-    finite or has set no new minimum for ``_STALL_WINDOW`` steps.
+def _kspace_map(v: Potential, e: float, grid: RadialGrid):
+    """The closed-form map u -> (G(u), rho(u)) of the k-space scheme.
 
     A step is one DST-I each way on raw arrays; the transform scales, a^2
-    and the radicand floor are formed once per solve, and no field is built.
+    and the radicand floor are formed once here, and no field is built.
+    ``history`` goes into the errors a step raises.
     """
     r, k = grid.r, grid.k
     # the transform pair's scales with DST-I's factor 2 folded in (exact)
@@ -330,16 +322,11 @@ def _fourier_iteration(v: Potential, e: float, config: SolverConfig, grid: Radia
     a2 = a * a
     floor = -1e-12 * a * a
     v_vals = v.samples.values
-    u = np.zeros(grid.n) if u0 is None else u0
-    s, radicand, f, f_prev = (np.empty(grid.n) for _ in range(4))
-    d_f = np.empty((_ANDERSON_DEPTH, grid.n))
-    d_g = np.empty_like(d_f)
-    g_prev = None
-    filled = 0          # differences stored since the last restart
-    history = []
-    for it in range(1, config.max_outer + 1):
+    s, radicand = np.empty(grid.n), np.empty(grid.n)
+
+    def step(u: np.ndarray, history: list):
         np.subtract(1.0, u, out=s)
-        s *= v_vals
+        np.multiply(s, v_vals, out=s)
         # transient u > 1 overshoot; clamped S keeps the radicand safe
         np.maximum(s, 0.0, out=s)
         rho = _density(e, _s_moment(v, s, grid, 0), history)
@@ -359,12 +346,39 @@ def _fourier_iteration(v: Potential, e: float, config: SolverConfig, grid: Radia
         # a - sqrt(a^2 - y) cancels catastrophically at large k; this form
         # keeps full relative precision in the spectral tail: y becomes rho*uhat
         np.sqrt(radicand, out=radicand)
-        radicand += a
+        np.add(radicand, a, out=radicand)
         y /= radicand
         y /= rho
         y *= k
         g = dst1(y)
         g *= to_r
+        return g, rho
+
+    return step
+
+
+def _fourier_iteration(v: Potential, e: float, config: SolverConfig, grid: RadialGrid,
+                       u0: np.ndarray | None):
+    """Self-consistent k-space iteration; returns (u, rho, iterations, history).
+
+    Type-II Anderson mixing (Walker & Ni 2011) of the closed-form map G: the
+    next iterate is G(u) - dG gamma, where gamma fits f = G(u) - u in least
+    squares by the last ``_ANDERSON_DEPTH`` differences of f, dG holds those
+    of G; when max|f| grows the history restarts from its newest difference.
+    The fixed point is that of u = G(u); stops at max|f| <= outer_tol and
+    returns G(u) and its rho, or raises ConvergenceError once max|f| is not
+    finite or has set no new minimum for ``_STALL_WINDOW`` steps.
+    """
+    step = _kspace_map(v, e, grid)
+    u = np.zeros(grid.n) if u0 is None else u0
+    f, f_prev = np.empty(grid.n), np.empty(grid.n)
+    d_f = np.empty((_ANDERSON_DEPTH, grid.n))
+    d_g = np.empty_like(d_f)
+    g_prev = None
+    filled = 0          # differences stored since the last restart
+    history = []
+    for it in range(1, config.max_outer + 1):
+        g, rho = step(u, history)
         np.subtract(g, u, out=f)
         delta = float(np.max(np.abs(f)))
         history.append(delta)
@@ -404,15 +418,21 @@ def _monotone_iteration(v: Potential, e: float, config: SolverConfig, grid: Radi
     operator A - rho^2 (u*u) int v(.), A = -Delta + v + 4e(1 - C_{rho u}), so by
     Sherman-Morrison a step solves A a = R and A b = u*u by CG and moves by
     d = a + c b, c = rho^2 int v a / (1 - rho^2 int v b). At u_0 = 0, A = K_e^-1
-    and b = 0: the first step is u_1 = K_e v. Stops at max|d| <= outer_tol.
+    and b = 0: the first step is u_1 = K_e v. The two solves of a step share
+    one Capacitance. Stops at max|d| <= outer_tol.
+
+    Newton's stopping rule leaves a uniform ~1e-13 error in u that int u
+    weighs by the whole grid volume, so the converged iterate takes one
+    closed-form k-space step u <- G(u) (2 DST-I, same rho), which rebuilds
+    the tail from S = (1-u) v. Should that step fail, Newton's u is kept.
     """
     v_vals = v.samples.values
     k2_4e = grid.k**2 + 4.0 * e
     history = []
 
-    def solve(psi, multiplier, what):
+    def solve(psi, multiplier, capacitance, what):
         return require_converged(_preconditioned_cg(
-            grid, psi, v_vals, multiplier, config.inner_tol, MAX_ITER),
+            grid, psi, v_vals, multiplier, capacitance, config.inner_tol, MAX_ITER),
             f"Newton solve for {what} on step {it}", history)
 
     d = require_converged(apply_Ke(v.samples, e, v, tol=config.inner_tol),
@@ -430,8 +450,10 @@ def _monotone_iteration(v: Potential, e: float, config: SolverConfig, grid: Radi
                 raise ConvergenceError(
                     f"Newton multiplier k^2 + 4e(1 - rho uhat) reached "
                     f"{np.min(multiplier):.3e} on step {it}", history=history)
-            a = solve(v_vals + 2.0 * e * rho * conv - lap4e - v_vals * u, multiplier, "a")
-            b = solve(conv, multiplier, "b")
+            capacitance = Capacitance(grid, multiplier, v_vals)
+            a = solve(v_vals + 2.0 * e * rho * conv - lap4e - v_vals * u,
+                      multiplier, capacitance, "a")
+            b = solve(conv, multiplier, capacitance, "b")
             denominator = 1.0 - rho**2 * _s_moment(v, v_vals * b, grid, 0)
             if not denominator > 0.0:
                 raise ConvergenceError(
@@ -448,6 +470,11 @@ def _monotone_iteration(v: Potential, e: float, config: SolverConfig, grid: Radi
             monotone = False
         rho = rho_new
         if delta <= config.outer_tol:
+            try:
+                u, _ = _kspace_map(v, e, grid)(u, history)
+            except (ConvergenceError, InvariantViolation) as exc:
+                warnings.warn(f"closed-form tail step after Newton failed ({exc}); "
+                              "keeping the Newton iterate", QualityWarning, stacklevel=3)
             return u, rho, it, monotone, history
     raise ConvergenceError(
         f"monotone Newton did not reach {config.outer_tol} in "

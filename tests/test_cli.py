@@ -131,6 +131,7 @@ class TestRunModes:
         OBSERVABLES + ["--k-min", "-1"],
         OBSERVABLES + ["--k-max", "inf"],
         OBSERVABLES + ["--k-max", "nan"],
+        OBSERVABLES + ["--k-min", "5", "--k-max", "1"],
     ])
     def test_non_finite_input_exits_2(self, flags, capsys):
         code = main(flags)

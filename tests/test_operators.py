@@ -6,8 +6,9 @@ from bosegas import (InvariantViolation, FREQUENCY, POSITION, RadialField,
                      apply_frakKe, apply_Ge, apply_Ke, apply_Ye, evaluate,
                      fourier_radial, gaussian_potential, inverse_fourier_radial,
                      make_grid, symmetry_check, xi_flatness)
-from bosegas.operators import (LinearSolveReport, OperatorContext, _preconditioned_cg,
-                               frakKe_l2_bound)
+from bosegas import operators
+from bosegas.operators import (Capacitance, LinearSolveReport, OperatorContext,
+                               _preconditioned_cg, _SUPPORT_MAX, frakKe_l2_bound)
 from bosegas.solver import SolverConfig, solve_fixed_e
 
 from conftest import gaussian_bumps
@@ -35,8 +36,11 @@ def forward_residual(w, psi, multiplier, v_values):
     return np.sqrt(w.grid.integrate(r * r)) / psi.norm_l2()
 
 
-def reference_cg(psi, v_values, multiplier, tol):
-    """CG on fields in the r^2 dr inner product, kM^-1 by the public transforms."""
+def reference_cg(psi, v_values, multiplier, tol, support=()):
+    """CG on fields in the r^2 dr inner product, preconditioned by the inverse
+    of M = kM + v on the nodes ``support``: kM^-1 by the public transforms,
+    the rest by Woodbury, M^-1 s = kM^-1 (s - P x), x = (I + D G)^-1 D (kM^-1 s)_P,
+    with G = (kM^-1)_PP read from transforms of unit spikes."""
     g = psi.grid
 
     def kM_inv(x):
@@ -44,19 +48,66 @@ def reference_cg(psi, v_values, multiplier, tol):
         return inverse_fourier_radial(
             RadialField(g, x_hat.values / multiplier, FREQUENCY)).values
 
+    nodes = np.asarray(support, dtype=int)
+    d = v_values[nodes]
+    G = np.array([kM_inv(np.eye(1, g.n, j)[0])[nodes] for j in nodes]).T
+    capacitance = np.eye(nodes.size) + d[:, None] * G
+
     w, p, kMp, r = np.zeros(g.n), np.zeros(g.n), np.zeros(g.n), psi.values.copy()
     rz_prev = np.inf
     for it in range(1, 1000):
         z = kM_inv(r)
+        s = r.copy()                    # kM z once z = M^-1 r
+        if nodes.size:
+            s[nodes] -= np.linalg.solve(capacitance, d * z[nodes])
+            z = kM_inv(s)
         rz = g.integrate(r * z)
         p = z + rz / rz_prev * p
-        kMp = r + rz / rz_prev * kMp
+        kMp = s + rz / rz_prev * kMp
         Ap = kMp + v_values * p
         alpha = rz / g.integrate(p * Ap)
         w, r = w + alpha * p, r - alpha * Ap
         if np.sqrt(g.integrate(r * r)) / psi.norm_l2() <= tol:
             return w, it
         rz_prev = rz
+
+
+def kM_only_cg(grid, psi, v_values, multiplier, tol, max_iter):
+    """The raw kernel preconditioned by kM^-1 alone, two DST-I per iteration:
+    what _preconditioned_cg must still compute, bit for bit, when m = 0."""
+    res_y = grid.r * psi
+    psi_sq = float(np.dot(res_y, res_y))
+    q = 1.0 / (2.0 * (grid.n + 1) * multiplier)
+    y, p, kMp, Ap = (np.zeros(grid.n) for _ in range(4))
+    rz_prev = np.inf
+    for it in range(1, max_iter + 1):
+        z = operators.dst1(operators.dst1(res_y) * q)
+        rz = float(np.dot(res_y, z))
+        beta = rz / rz_prev
+        p *= beta
+        p += z
+        kMp *= beta
+        kMp += res_y
+        np.multiply(v_values, p, out=Ap)
+        Ap += kMp
+        alpha = rz / float(np.dot(p, Ap))
+        y += alpha * p
+        res_y -= alpha * Ap
+        res = float(np.sqrt(np.dot(res_y, res_y) / psi_sq))
+        if res <= tol:
+            return y / grid.r, LinearSolveReport(it, res, True)
+        rz_prev = rz
+
+
+@pytest.fixture(scope="module")
+def wide_context(state_gauss):
+    """fK_e context of state_gauss with a width-2 Gaussian, whose support
+    (465 nodes) exceeds _SUPPORT_MAX: the kernel runs uncorrected."""
+    g = state_gauss.grid
+    ctx = OperatorContext(e=state_gauss.e, v=gaussian_potential(1.0, 2.0, g),
+                          rho_u_hat=state_gauss.u_hat, grid=g)
+    assert ctx.capacitance.support.size == 0
+    return ctx
 
 
 class TestGe:
@@ -117,8 +168,10 @@ class TestKe:
         # at e = 1e300 the preconditioned residual underflows to zero, so
         # p.Ap = 0; the kernel reports a stall instead of dividing by it
         g = make_grid(4095, 4e-148)
-        out, report = _preconditioned_cg(g, np.ones(g.n), np.ones(g.n),
-                                         g.k**2 + 4e300, 1e-10, 100)
+        multiplier = g.k**2 + 4e300
+        out, report = _preconditioned_cg(g, np.ones(g.n), np.ones(g.n), multiplier,
+                                         Capacitance(g, multiplier, np.ones(g.n)),
+                                         1e-10, 100)
         assert not report.converged
         assert np.all(np.isfinite(out))
 
@@ -226,19 +279,24 @@ class TestFrakKe:
             assert forward_residual(out, psi, ctx.multiplier(),
                                     ctx.v.samples.values) <= 1e-9
 
-    def test_kernel_matches_field_reference(self, state_gauss):
-        # the raw r*w kernel is the field-level iteration in other variables
-        ctx = state_gauss.context
+    def test_kernel_matches_field_reference(self, state_gauss, wide_context):
+        # the raw r*w kernel is the field-level iteration in other variables,
+        # with its capacitance matrix read from one kM^-1 column, not spike transforms
         g = state_gauss.grid
         tol = state_gauss.config.inner_tol
-        for psi in (state_gauss.potential.samples, state_gauss.u,
-                    RadialField(g, np.exp(-(g.r - 1.0) ** 2), POSITION)):
-            w, report = _preconditioned_cg(g, psi.values, ctx.v.samples.values,
-                                           ctx.multiplier(), tol, 1000)
-            ref, iterations = reference_cg(psi, ctx.v.samples.values,
-                                           ctx.multiplier(), tol)
-            assert report.iterations == iterations
-            assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
+        v_values = state_gauss.potential.samples.values
+        support = np.flatnonzero(v_values > 1e-14 * np.max(v_values))
+        assert 0 < support.size <= _SUPPORT_MAX
+        np.testing.assert_array_equal(state_gauss.context.capacitance.support, support)
+        for ctx, nodes in ((state_gauss.context, support), (wide_context, ())):
+            v_values = ctx.v.samples.values
+            for psi in (state_gauss.potential.samples, state_gauss.u,
+                        RadialField(g, np.exp(-(g.r - 1.0) ** 2), POSITION)):
+                w, report = _preconditioned_cg(g, psi.values, v_values, ctx.multiplier(),
+                                               ctx.capacitance, tol, 1000)
+                ref, iterations = reference_cg(psi, v_values, ctx.multiplier(), tol, nodes)
+                assert report.iterations == iterations
+                assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_true_residual_at_default_inner_tol(self, state_gauss):
         # the recurrence reports far below inner_tol; the recomputed residual
@@ -251,12 +309,46 @@ class TestFrakKe:
                                 ctx.v.samples.values) <= 1e-11
 
     def test_iterations_on_v(self, state_gauss):
-        # fK_e v at the production tolerance takes 6 CG iterations
+        # fK_e v at the production tolerance took 6 CG iterations with the
+        # kM^-1 preconditioner; v on 232 nodes is inverted exactly now
         _, report = apply_frakKe(state_gauss.potential.samples,
                                  state_gauss.context,
                                  tol=state_gauss.config.inner_tol)
         assert report.converged
-        assert report.iterations <= 8
+        assert report.iterations <= 2
+
+    def test_dst1_calls_per_iteration(self, state_gauss, wide_context, monkeypatch):
+        # four DST-I per iteration with the correction, two without
+        real, calls = operators.dst1, [0]
+
+        def counted(x):
+            calls[0] += 1
+            return real(x)
+
+        monkeypatch.setattr(operators, "dst1", counted)
+        for ctx, per_iteration in ((state_gauss.context, 4), (wide_context, 2)):
+            ctx.capacitance                 # built once, outside the count
+            calls[0] = 0
+            _, report = apply_frakKe(state_gauss.u, ctx, tol=1e-12)
+            assert report.converged
+            assert calls[0] == per_iteration * report.iterations
+
+    def test_uncorrected_kernel_is_unchanged(self, state_gauss, wide_context):
+        # v = 0 or a support over the budget: bit for bit the kM^-1 kernel
+        g = state_gauss.grid
+        multiplier = wide_context.multiplier()
+        zero = np.zeros(g.n)
+        assert Capacitance(g, multiplier, zero).support.size == 0
+        for v_values, capacitance in ((zero, Capacitance(g, multiplier, zero)),
+                                      (wide_context.v.samples.values,
+                                       wide_context.capacitance)):
+            for psi in (state_gauss.potential.samples, state_gauss.u):
+                w, report = _preconditioned_cg(g, psi.values, v_values, multiplier,
+                                               capacitance, 1e-12, 1000)
+                ref, ref_report = kM_only_cg(g, psi.values, v_values, multiplier,
+                                             1e-12, 1000)
+                assert report == ref_report
+                np.testing.assert_array_equal(w, ref)
 
     def test_zero_rhs(self, state_gauss):
         zero = RadialField(state_gauss.grid, np.zeros(state_gauss.grid.n), POSITION)
@@ -264,9 +356,11 @@ class TestFrakKe:
         assert report == LinearSolveReport(0, 0.0, True)
         assert not np.any(out.values)
 
-    def test_field_inits_independent_of_iterations(self, state_gauss, monkeypatch):
+    def test_field_inits_independent_of_iterations(self, state_gauss, wide_context,
+                                                   monkeypatch):
         # CG iterates on raw arrays; only the entry and exit build fields
-        ctx = state_gauss.context
+        # (on the uncorrected kernel, where tolerance still moves the count)
+        ctx = wide_context
         post_init = RadialField.__post_init__
         inits = [0]
 

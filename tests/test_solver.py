@@ -137,7 +137,10 @@ class TestMonotoneNewton:
         assert history[-1] <= config.outer_tol
 
     def test_newton_solves_build_no_fields(self, gauss_small, monkeypatch):
-        # the Newton solves pass raw arrays, so no solve builds a RadialField
+        # the Newton solves pass raw arrays, so no solve builds a RadialField;
+        # a width-2 Gaussian (387 nodes, over the capacitance budget) keeps
+        # the iteration counts apart
+        v = gaussian_potential(1.0, 2.0, gauss_small.grid)
         post_init = RadialField.__post_init__
         inits = [0]
 
@@ -158,9 +161,64 @@ class TestMonotoneNewton:
         monkeypatch.setattr(solver, "_preconditioned_cg", recorded)
         for inner_tol in (1e-12, 1e-8):
             config = SolverConfig(n=2047, r_max=60.0, inner_tol=inner_tol, outer_tol=1e-6)
-            _monotone_iteration(gauss_small, 0.3, config, gauss_small.grid)
+            _monotone_iteration(v, 0.3, config, v.grid)
         assert len({iterations for iterations, _ in solves}) > 1
         assert {fields for _, fields in solves} == {0}
+
+    def test_failed_tail_step_keeps_newton_iterate(self, gauss_small, monkeypatch):
+        # a converged Newton solve never turns into an error at its last step
+        config = SolverConfig(n=2047, r_max=60.0)
+        iterates = []
+        inner = solver._constraint_integral
+
+        def recording(v, u_values, grid):
+            iterates.append(u_values.copy())
+            return inner(v, u_values, grid)
+
+        def failing_map(v, e, grid):
+            def step(u, history):
+                raise InvariantViolation("radicand went negative")
+            return step
+
+        _, rho_polished, *_ = _monotone_iteration(gauss_small, 0.3, config, gauss_small.grid)
+        monkeypatch.setattr(solver, "_constraint_integral", recording)
+        monkeypatch.setattr(solver, "_kspace_map", failing_map)
+        with pytest.warns(QualityWarning, match="keeping the Newton iterate"):
+            u, rho, _, _, history = _monotone_iteration(gauss_small, 0.3, config,
+                                                        gauss_small.grid)
+        np.testing.assert_array_equal(u, iterates[-1])
+        assert rho == rho_polished
+        assert history[-1] <= config.outer_tol
+
+    def test_strong_newton_takes_few_cg_iterations(self, monkeypatch):
+        # 88 CG iterations per solve under the kM^-1 preconditioner; v on 155
+        # nodes is now inverted exactly, whatever its amplitude
+        cg, iterations = solver._preconditioned_cg, []
+
+        def recorded(*args):
+            w, report = cg(*args)
+            iterations.append(report.iterations)
+            return w, report
+
+        monkeypatch.setattr(solver, "_preconditioned_cg", recorded)
+        config = SolverConfig(n=16383, r_max=600.0, scheme=MONOTONE)
+        grid = config.grid_for(0.01)
+        _, rho, _, monotone, _ = _monotone_iteration(
+            gaussian_potential(1e4, 1.0, grid), 0.01, config, grid)
+        assert monotone
+        assert np.mean(iterations) <= 3.0
+        assert rho == pytest.approx(3.8902908552506174e-04, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [51199, 71999])
+    def test_newton_tail_normalizes(self, n):
+        # Newton stopped with a uniform ~3.5e-13 error in u, which int u over
+        # r_max = 400/sqrt(e) turned into |rho int u - 1| = 7.5e-5; the final
+        # closed-form step brings it to ~1e-11 with the same rho
+        e = 1e-3
+        config = SolverConfig(n=n, r_max=400.0 / np.sqrt(e), scheme=MONOTONE)
+        state = solve_fixed_e(gaussian_potential(100.0, 1.0, config.grid_for(e)), e, config)
+        value, ok = state.check_invariants()["normalization"]
+        assert ok, value
 
     def test_strong_fallback_normalizes(self):
         # Picard stopped at |rho int u - 1| = 2.7e-4 here
