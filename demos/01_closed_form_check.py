@@ -40,6 +40,7 @@ print(f"  max |rho uhat(k) - e^(-k)| on k <= 12  = {uhat_err:.3e}")
 beta = beta_moment(state)
 print(f"  beta = rho int x^2 v (1-u) = {beta:.8f}  (exact {spec.beta})")
 
-print("\ninvariant check:")
-for name, (value, ok) in state.check_invariants().items():
-    print(f"  {name:18s} {value: .3e}   {'ok' if ok else 'VIOLATED'}")
+print("\nstate contract (the audit's first five rows are the same rows):")
+for row in state.check_invariants().values():
+    print(f"  {row.name:13s} {row.lhs: .3e} <= {row.rhs: .3e}   "
+          f"{'ok' if row.passed else 'VIOLATED'}   {row.note}")

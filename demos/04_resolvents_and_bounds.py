@@ -36,7 +36,7 @@ print(f"  mass ratio int G_e psi / int psi = {ge.integral()/psi.integral():.6f} 
 defect = symmetry_check(v.samples, state.u, state.context)
 print(f"\nself-adjointness defect of fK_e on (v, u): {defect:.2e}")
 
-kv = state.frakKe_v()
+kv = state.frakKe_v
 print(f"fK_e v range on the grid: [{np.min(kv.values):.2e}, {np.max(kv.values):.6f}] "
       "(provably within [0, 1])")
 

@@ -15,11 +15,10 @@ __version__ = "0.1.0"
 
 from .errors import (BosegasError, ConfigurationError, ConvergenceError,
                      GridMismatchError, InvariantViolation)
-from .grids import (FREQUENCY, POSITION, Moments, RadialField, RadialGrid,
-                    auto_r_max, convolve, evaluate, fast_grid_size,
-                    field_from_profile, fourier_radial, healing_integral_check,
-                    inverse_fourier_radial, make_grid, moments,
-                    plancherel_defect)
+from .grids import (FREQUENCY, POSITION, RadialField, RadialGrid, auto_r_max,
+                    convolve, evaluate, fast_grid_size, field_from_profile,
+                    fourier_radial, healing_integral_check,
+                    inverse_fourier_radial, make_grid)
 from .operators import (LinearSolveReport, OperatorContext, apply_frakKe,
                         apply_Ge, apply_Ke, apply_Ye, symmetry_check,
                         xi_flatness)
@@ -36,4 +35,4 @@ from .observables import (BoundAudit, DecayFit, ObservableReport,
                           bogolyubov_depletion, bound_audit,
                           condensate_depletion, decay_constant,
                           lhy_coefficient, lhy_compare, momentum_distribution,
-                          observables_report, shared_denominator, tan_constant)
+                          observables_report, tan_constant)

@@ -13,7 +13,6 @@ sine transform of r*f(r), so the forward/inverse pair is exactly invertible
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 from scipy.fft import dst
@@ -176,40 +175,11 @@ def convolve(f: RadialField, g: RadialField) -> RadialField:
     )
 
 
-@dataclass(frozen=True)
-class Moments:
-    """Low-order moments and Lp norms of a position-space field."""
-
-    m0: float
-    m2: float
-    m4: float
-    lp_norms: dict
-
-
-def moments(f: RadialField, p_list: Iterable[float] = (1.0, 2.0)) -> Moments:
-    """Moments int |x|^(2m) f d^3x and norms (4 pi int r^2 |f|^p dr)^(1/p)."""
-    if f.space != POSITION:
-        raise GridMismatchError("moments expects a position-space field")
-    g = f.grid
-    r2 = g.r * g.r
-    m0 = g.integrate(f.values)
-    m2 = g.integrate(r2 * f.values)
-    m4 = g.integrate(r2 * r2 * f.values)
-    norms = {}
-    for p in p_list:
-        norms[p] = float(g.integrate(np.abs(f.values) ** p) ** (1.0 / p))
-    return Moments(m0=m0, m2=m2, m4=m4, lp_norms=norms)
-
-
-def evaluate(f: RadialField, r, tail_power: float | None = None,
-             tail_coeff: float | None = None):
+def evaluate(f: RadialField, r):
     """Evaluate a position-space field at arbitrary radii.
 
     Cubic interpolation between nodes (even extension through r=0), exact at
-    the nodes. Beyond r_max the field is zero unless a decaying tail is
-    requested: with ``tail_power`` set, the continuation is
-    ``tail_coeff / r**tail_power``; a missing coefficient is fitted from the
-    last decade of nodes.
+    the nodes; zero beyond the last node.
     """
     if f.space != POSITION:
         raise GridMismatchError("evaluate expects a position-space field")
@@ -228,42 +198,7 @@ def evaluate(f: RadialField, r, tail_power: float | None = None,
     out = np.zeros_like(r_arr)
     inside = r_arr <= g.r[-1]
     out[inside] = spline(r_arr[inside])
-    outside = ~inside
-    if np.any(outside):
-        if tail_power is not None:
-            coeff = tail_coeff
-            if coeff is None:
-                coeff = fit_tail_coefficient(f, tail_power)
-            out[outside] = coeff / r_arr[outside] ** tail_power
-        # else: zero beyond the grid
     return float(out[0]) if scalar else out
-
-
-def fit_tail_coefficient(f: RadialField, tail_power: float,
-                         window: tuple[float, float] = (0.1, 1.0)) -> float:
-    """Least-squares amplitude of A / r^p over a trailing radius window.
-
-    ``window`` is in units of r_max; default uses the last decade.
-    """
-    g = f.grid
-    lo, hi = window[0] * g.r_max, window[1] * g.r_max
-    sel = (g.r >= lo) & (g.r <= hi)
-    if not np.any(sel):
-        raise ConfigurationError("tail window contains no grid nodes")
-    basis = g.r[sel] ** (-tail_power)
-    return float(np.dot(basis, f.values[sel]) / np.dot(basis, basis))
-
-
-def plancherel_defect(f: RadialField) -> float:
-    """Relative mismatch of 4pi int r^2 f^2 dr against its k-space value.
-
-    Identically zero (to round-off) for the conjugate-grid transform; kept
-    as a diagnostic of quadrature/transform consistency.
-    """
-    fhat = fourier_radial(f)
-    lhs = f.grid.integrate(f.values**2)
-    rhs = f.grid.integrate_k(fhat.values**2)
-    return abs(lhs - rhs) / max(abs(lhs), 1e-300)
 
 
 def healing_integral_check(grid: RadialGrid) -> float:

@@ -3,7 +3,7 @@
 Everything here reduces to quadratures against one operator solve,
 fK_e v, plus at most three more fK_e applications (to u, to 2u - rho u*u,
 and to the depletion cross-check payload). The depletion and the momentum
-distribution share one denominator, computed once per state:
+distribution share one denominator, ``SolutionState.D``:
 
     D = 1 - rho int v fK_e(2u - rho u*u) dx
 """
@@ -16,10 +16,10 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import gamma
 
-from .errors import ConvergenceError
+from .errors import ConfigurationError
 from .grids import POSITION, RadialField
-from .operators import apply_frakKe, frakKe_l2_bound, require_converged
-from .solver import SolutionState, SweepRecord, rho_prime
+from .operators import apply_frakKe, frakKe_l2_bound
+from .solver import AuditRow, SolutionState, SweepRecord, rho_prime
 
 LHY_COEFFICIENT_FORMULA = "128/(15 sqrt(pi))"
 
@@ -34,29 +34,6 @@ def bogolyubov_depletion(rho_a0_cubed: float) -> float:
     return 8.0 * np.sqrt(rho_a0_cubed) / (3.0 * np.sqrt(np.pi))
 
 
-def _solve_frakKe(state: SolutionState, payload: RadialField, cache_key: str) -> RadialField:
-    if cache_key not in state._cache:
-        state._cache[cache_key] = require_converged(
-            apply_frakKe(payload, state.context, tol=state.config.inner_tol),
-            f"fK_e solve for {cache_key}")
-    return state._cache[cache_key]
-
-
-def shared_denominator(state: SolutionState) -> float:
-    """1 - rho int v fK_e(2u - rho u*u), memoized on the state."""
-    if "obs_denominator" not in state._cache:
-        w = RadialField(
-            state.grid,
-            2.0 * state.u.values - state.rho * state.u_convolution().values,
-            POSITION,
-        )
-        kw = _solve_frakKe(state, w, "frakKe_2u_minus_conv")
-        state._cache["obs_denominator"] = 1.0 - state.rho * state.grid.integrate(
-            state.potential.samples.values * kw.values
-        )
-    return state._cache["obs_denominator"]
-
-
 def eta_nonnegativity_guaranteed(state: SolutionState) -> bool:
     """Small-density regime rho e^{-1/2} <= 2^(13/4) pi^2 / ||v||_1^2 in which
     the depletion is provably non-negative."""
@@ -65,32 +42,28 @@ def eta_nonnegativity_guaranteed(state: SolutionState) -> bool:
 
 
 def condensate_depletion(state: SolutionState) -> float:
-    """Non-condensed fraction eta = rho int v fK_e u / D.
+    """Non-condensed fraction eta = rho int v fK_e u / D."""
+    ku = state.solve_frakKe(state.u, "u")
+    numerator = state.rho * state.grid.integrate(state.potential.samples.values * ku.values)
+    return float(numerator / state.D)
 
-    A consistency reconstruction through the perturbation field
-    s = fK_e(2 eta rho u*u - 2u - 4 eta u), eta = -(rho/2) int s v, is run
-    as an independent solve; its relative defect lands in the state cache
-    under ``eta_consistency`` (<= 1e-6 on converged states).
-    """
-    grid = state.grid
-    v_vals = state.potential.samples.values
-    ku = _solve_frakKe(state, state.u, "frakKe_u")
-    numerator = state.rho * grid.integrate(v_vals * ku.values)
-    eta = numerator / shared_denominator(state)
 
+def depletion_consistency(state: SolutionState, eta: float) -> float:
+    """Relative defect of eta reconstructed through the perturbation field
+    s = fK_e(2 eta rho u*u - 2u - 4 eta u), eta = -(rho/2) int s v, an
+    independent solve (<= 1e-6 on converged states; inf if it stalls)."""
     payload = RadialField(
-        grid,
-        2.0 * eta * state.rho * state.u_convolution().values
+        state.grid,
+        2.0 * eta * state.rho * state.u_conv.values
         - 2.0 * state.u.values - 4.0 * eta * state.u.values,
         POSITION,
     )
     s_field, report = apply_frakKe(payload, state.context, tol=state.config.inner_tol)
-    if report.converged:
-        eta_s = -0.5 * state.rho * grid.integrate(s_field.values * v_vals)
-        state._cache["eta_consistency"] = abs(eta_s - eta) / max(abs(eta), 1e-300)
-    else:
-        state._cache["eta_consistency"] = np.inf
-    return float(eta)
+    if not report.converged:
+        return np.inf
+    v_vals = state.potential.samples.values
+    eta_s = -0.5 * state.rho * state.grid.integrate(s_field.values * v_vals)
+    return abs(eta_s - eta) / max(abs(eta), 1e-300)
 
 
 def momentum_distribution(state: SolutionState, k_values) -> list:
@@ -104,10 +77,10 @@ def momentum_distribution(state: SolutionState, k_values) -> list:
     k_values = np.atleast_1d(np.asarray(k_values, dtype=float))
     grid = state.grid
     if np.any(k_values <= 0) or np.any(k_values > grid.k[-1]):
-        raise ConvergenceError(
+        raise ConfigurationError(
             f"momentum samples need 0 < k <= {grid.k[-1]:g} on this grid"
         )
-    kv = state.frakKe_v()
+    kv = state.frakKe_v
     wv = RadialField(grid, state.potential.samples.values * kv.values, POSITION)
     from .grids import fourier_radial
     what_v = fourier_radial(wv)
@@ -118,7 +91,7 @@ def momentum_distribution(state: SolutionState, k_values) -> list:
         "vhat": CubicSpline(grid.k, vhat.values),
         "what_v": CubicSpline(grid.k, what_v.values),
     }
-    denominator = shared_denominator(state)
+    denominator = state.D
     out = []
     for k in k_values:
         ruh = float(interp["rho_u_hat"](k))
@@ -221,7 +194,8 @@ def observables_report(state: SolutionState, a0: float | None = None,
     if a0 is None:
         a0 = state.potential.a0
     eta = condensate_depletion(state)
-    x = state.rho * a0**3
+    consistency = depletion_consistency(state, eta)
+    lhy = lhy_compare([state], a0)[0]
     if k_values is None:
         k_lo = 10.0 * np.sqrt(state.e)
         k_hi = min(100.0 * np.sqrt(state.e),
@@ -229,19 +203,18 @@ def observables_report(state: SolutionState, a0: float | None = None,
                    float(state.grid.k[-1]))
         k_values = np.geomspace(k_lo, k_hi, 24) if k_hi > k_lo else []
     samples = momentum_distribution(state, k_values) if len(k_values) else []
-    leading = state.e / (2.0 * np.pi * state.rho * a0)
     return ObservableReport(
         eta=eta,
-        eta_bogolyubov=bogolyubov_depletion(x),
-        eta_consistency=state._cache["eta_consistency"],
+        eta_bogolyubov=bogolyubov_depletion(lhy["rho_a0_cubed"]),
+        eta_consistency=consistency,
         eta_nonneg_guaranteed=eta_nonnegativity_guaranteed(state),
         beta=beta_moment(state),
         decay=decay_constant(state),
         tan_constant=tan_constant(state),
         a0=a0,
-        rho_a0_cubed=x,
-        lhy_ratio=(leading - 1.0) / (lhy_coefficient() * np.sqrt(x)),
-        denominator=shared_denominator(state),
+        rho_a0_cubed=lhy["rho_a0_cubed"],
+        lhy_ratio=lhy["lhy_ratio"],
+        denominator=state.D,
         momentum_samples=[(k, m, k**4 * m) for k, m in samples],
     )
 
@@ -270,29 +243,12 @@ def lhy_compare(states, a0: float) -> list[dict]:
 # the inequality audit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AuditRow:
-    name: str
-    lhs: float
-    rhs: float
-    passed: bool
-    kind: str = "assert"        # "report" rows never gate anything
-    note: str = ""
-
-    @property
-    def margin(self) -> float:
-        return self.rhs - self.lhs
-
-
 @dataclass
 class BoundAudit:
     rows: list = field(default_factory=list)
 
     def add(self, name, lhs, rhs, kind="assert", note="", slack=0.0):
-        self.rows.append(AuditRow(
-            name=name, lhs=float(lhs), rhs=float(rhs),
-            passed=bool(lhs <= rhs + slack), kind=kind, note=note,
-        ))
+        self.rows.append(AuditRow.check(name, lhs, rhs, kind, note, slack))
 
     def row(self, name: str) -> AuditRow:
         return next(r for r in self.rows if r.name == name)
@@ -338,24 +294,15 @@ def bound_audit(state: SolutionState, sweep: SweepRecord | None = None,
                 probe_operator: bool = True, seed: int = 20260810) -> BoundAudit:
     """Evaluate the named inequality table on one converged state.
 
+    The first rows are ``state.bound_rows()``, the state contract's bounds.
     Constants are recomputed from the potential norms on every call; rows
     marked ``report`` (the 2u >= rho u*u conjecture, regime-restricted
     bounds outside their regime) never fail the audit.
     """
-    audit = BoundAudit()
+    audit = BoundAudit(state.bound_rows())
     grid = state.grid
     e, rho = state.e, state.rho
     norms = state.potential.norms
-    u_vals = state.u.values
-
-    audit.add("intu", abs(rho * state.integral_u - 1.0), 1e-6,
-              note="rho int u = 1 (tail-corrected quadrature)")
-    audit.add("u_range_low", 0.0, float(np.min(u_vals)), slack=1e-10,
-              note="u >= 0 at every node")
-    audit.add("u_range_high", float(np.max(u_vals)), 1.0, slack=1e-10,
-              note="u <= 1 at every node")
-    audit.add("con4B_low", 2.0 * e / norms.v_l1, rho, note="2e/||v||_1 <= rho")
-    audit.add("con4B_high", rho, 4.0 * e / norms.v_l1, note="rho <= 4e/||v||_1")
 
     u_l2 = _u_lp_norm(state, 2.0)
     audit.add("sim6", u_l2, norms.v_l1 / (4.0 * np.sqrt(np.pi)) * e ** (-0.25),
@@ -369,7 +316,7 @@ def bound_audit(state: SolutionState, sweep: SweepRecord | None = None,
                   u_lp_bound_constant(p, norms.v_l1) * e ** ((p - 3.0) / (2.0 * p)),
                   note="||u||_p <= C_p e^((p-3)/2p)")
 
-    kv = state.frakKe_v().values
+    kv = state.frakKe_v.values
     audit.add("kl1_low", 0.0, float(np.min(kv)), slack=1e-10,
               note="fK_e v >= 0 at every node")
     audit.add("kl1_high", float(np.max(kv)), 1.0, slack=1e-10,
@@ -382,9 +329,7 @@ def bound_audit(state: SolutionState, sweep: SweepRecord | None = None,
     if probe_operator:
         worst_ratio = 0.0
         for psi in random_nonneg_fields(grid, count=10, seed=seed):
-            out = require_converged(
-                apply_frakKe(psi, state.context, tol=state.config.inner_tol),
-                "fK_e probe solve during audit")
+            out = state.solve_frakKe(psi, "an audit probe")
             ratio = out.norm_l2() / (frakKe_l2_bound(e) * psi.integral())
             worst_ratio = max(worst_ratio, ratio)
         audit.add("frakKL2", worst_ratio, 1.0,
@@ -399,7 +344,7 @@ def bound_audit(state: SolutionState, sweep: SweepRecord | None = None,
               kind="assert" if (in_small_e or e > state.potential.e_large) else "report",
               note="rho' > 0" + ("" if in_small_e else " (regime-dependent)"))
 
-    gb = 2.0 * u_vals - rho * state.u_convolution().values
+    gb = 2.0 * state.u.values - rho * state.u_conv.values
     audit.add("gb_conjecture", 0.0, float(np.min(gb)), kind="report", slack=1e-10,
               note="conjecture - report only: 2u - rho u*u >= 0")
 

@@ -41,15 +41,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import binom, zeta
 
 from .errors import ConfigurationError, ConvergenceError, InvariantViolation
-from .grids import (FREQUENCY, POSITION, RadialField, RadialGrid, auto_r_max,
-                    convolve, dst1, fourier_radial, inverse_fourier_radial, make_grid)
+from .grids import (FREQUENCY, POSITION, RadialField, RadialGrid, auto_r_max, dst1,
+                    fourier_radial, inverse_fourier_radial, make_grid)
 from .operators import (MAX_ITER, Capacitance, OperatorContext, _preconditioned_cg,
                         apply_frakKe, apply_Ke, require_converged)
 from .potentials import Potential, QualityWarning
@@ -106,14 +106,41 @@ class TailModel:
         return 4.0 * np.pi * (self.c4 / r_max + self.c6 / (3.0 * r_max**3))
 
 
+@dataclass(frozen=True)
+class AuditRow:
+    """One inequality lhs <= rhs evaluated on a state."""
+
+    name: str
+    lhs: float
+    rhs: float
+    passed: bool
+    kind: str = "assert"        # "report" rows never gate anything
+    note: str = ""
+
+    @classmethod
+    def check(cls, name, lhs, rhs, kind="assert", note="", slack=0.0) -> "AuditRow":
+        """The row of lhs <= rhs + slack; a NaN side fails it."""
+        return cls(name=name, lhs=float(lhs), rhs=float(rhs),
+                   passed=bool(lhs <= rhs + slack), kind=kind, note=note)
+
+    @property
+    def margin(self) -> float:
+        return self.rhs - self.lhs
+
+
 @dataclass
 class SolutionState:
-    """Converged bundle (e, rho, u, S, transforms, diagnostics) of one solve."""
+    """Converged bundle (e, rho, u, S, transforms, diagnostics) of one solve.
+
+    The operator context, fK_e v and the observables' denominator D are
+    computed on first use and kept for the state's lifetime.
+    """
 
     e: float
     rho: float
     u: RadialField
     u_hat: RadialField              # stores rho * uhat
+    u_conv: RadialField             # u*u
     S: RadialField
     S_hat: RadialField
     potential: Potential
@@ -129,65 +156,76 @@ class SolutionState:
     cross_check: float | None = None
     monotone_iterates: bool | None = None
     notes: list = field(default_factory=list)
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def grid(self) -> RadialGrid:
         return self.u.grid
 
-    @property
+    @cached_property
     def context(self) -> OperatorContext:
-        if "context" not in self._cache:
-            self._cache["context"] = OperatorContext(
-                e=self.e, v=self.potential, rho_u_hat=self.u_hat, grid=self.grid
-            )
-        return self._cache["context"]
+        return OperatorContext(e=self.e, v=self.potential, rho_u_hat=self.u_hat, grid=self.grid)
 
-    def u_convolution(self) -> RadialField:
-        if "u_conv" not in self._cache:
-            self._cache["u_conv"] = convolve(self.u, self.u)
-        return self._cache["u_conv"]
+    def solve_frakKe(self, payload: RadialField, what: str) -> RadialField:
+        """fK_e payload at this state, to the config's inner tolerance."""
+        return require_converged(apply_frakKe(payload, self.context, tol=self.config.inner_tol),
+                                 f"fK_e solve for {what}")
 
+    @cached_property
     def frakKe_v(self) -> RadialField:
         """fK_e v, the workhorse field of every derivative and observable."""
-        if "frakKe_v" not in self._cache:
-            self._cache["frakKe_v"] = require_converged(apply_frakKe(
-                self.potential.samples, self.context,
-                tol=self.config.inner_tol), "fK_e v solve")
-        return self._cache["frakKe_v"]
+        return self.solve_frakKe(self.potential.samples, "v")
+
+    @cached_property
+    def D(self) -> float:
+        """1 - rho int v fK_e(2u - rho u*u), the denominator the depletion and
+        the momentum distribution share."""
+        w = RadialField(self.grid, 2.0 * self.u.values - self.rho * self.u_conv.values,
+                        POSITION)
+        kw = self.solve_frakKe(w, "2u - rho u*u")
+        return 1.0 - self.rho * self.grid.integrate(self.potential.samples.values * kw.values)
 
     def normalization_defect(self) -> float:
         return abs(self.rho * self.integral_u - 1.0)
 
-    def radicand_min(self) -> float:
-        g = self.grid
-        kappa2 = g.k**2 / (4.0 * self.e)
-        return float(np.min((kappa2 + 1.0) ** 2
-                            - self.rho / (2.0 * self.e) * self.S_hat.values))
+    def bound_rows(self, norm_tol: float = 1e-6) -> list:
+        """The proven state bounds rho int u = 1, 0 <= u <= 1 and
+        2e/||v||_1 <= rho <= 4e/||v||_1 (Carlen, Jauslin & Lieb,
+        arXiv:1912.04987), shared by the contract and ``bound_audit``."""
+        e, rho, v1 = self.e, self.rho, self.potential.norms.v_l1
+        u = self.u.values
+        return [
+            AuditRow.check("intu", self.normalization_defect(), norm_tol,
+                           note="rho int u = 1 (tail-corrected quadrature)"),
+            AuditRow.check("u_range_low", 0.0, np.min(u), slack=1e-10,
+                           note="u >= 0 at every node"),
+            AuditRow.check("u_range_high", np.max(u), 1.0, slack=1e-10,
+                           note="u <= 1 at every node"),
+            AuditRow.check("con4B_low", 2.0 * e / v1, rho, note="2e/||v||_1 <= rho"),
+            AuditRow.check("con4B_high", rho, 4.0 * e / v1, note="rho <= 4e/||v||_1"),
+        ]
 
     def check_invariants(self, norm_tol: float = 1e-6) -> dict:
-        """Evaluate the state contract; returns name -> (value, ok)."""
-        v1 = self.potential.norms.v_l1
-        u_min, u_max = float(np.min(self.u.values)), float(np.max(self.u.values))
-        defect = self.normalization_defect()
-        radicand = self.radicand_min()
-        return {
-            "u_nonneg": (u_min, u_min >= -1e-10),
-            "u_le_one": (u_max, u_max <= 1.0 + 1e-10),
-            "normalization": (defect, defect <= norm_tol),
-            "density_bracket": (self.rho,
-                                2.0 * self.e / v1 <= self.rho <= 4.0 * self.e / v1),
-            "constraint": (self.constraint_residual, self.constraint_residual <= 1e-8),
-            "radicand_nonneg": (radicand, radicand >= 0.0),
-            "pde_residual": (self.pde_residual, self.pde_residual <= 1e-7),
-        }
+        """The state contract, name -> AuditRow: ``bound_rows`` plus the
+        constraint, radicand and PDE residuals."""
+        kappa2 = self.grid.k**2 / (4.0 * self.e)
+        radicand = np.min((kappa2 + 1.0) ** 2 - self.rho / (2.0 * self.e) * self.S_hat.values)
+        rows = self.bound_rows(norm_tol) + [
+            AuditRow.check("constraint", self.constraint_residual, 1e-8,
+                           note="2e/rho = int (1-u) v, relative"),
+            AuditRow.check("radicand", 0.0, radicand,
+                           note="(kappa^2+1)^2 >= (rho/2e) Shat(k) on the k-grid"),
+            AuditRow.check("pde_residual", self.pde_residual, 1e-7,
+                           note="relative L2 residual of the pair equation"),
+        ]
+        return {row.name: row for row in rows}
 
     def require_invariants(self, norm_tol: float = 1e-6):
-        failed = {k: v for k, (v, ok) in self.check_invariants(norm_tol).items() if not ok}
+        failed = [row for row in self.check_invariants(norm_tol).values() if not row.passed]
         if failed:
             raise InvariantViolation(
-                f"converged state violates {sorted(failed)} (values {failed}); "
-                "increase r_max and/or n"
+                "converged state violates "
+                + ", ".join(f"{r.name} ({r.note}: {r.lhs:.6g} vs {r.rhs:.6g})" for r in failed)
+                + "; increase r_max and/or n"
             )
 
 
@@ -545,16 +583,14 @@ def _build_state(v: Potential, e: float, config: SolverConfig, grid: RadialGrid,
     pde_residual = float(np.sqrt(grid.integrate(resid**2))
                          / np.sqrt(grid.integrate(v.samples.values**2)))
 
-    state = SolutionState(
-        e=e, rho=rho, u=u, u_hat=rho_u_hat, S=S, S_hat=S_hat,
+    return SolutionState(
+        e=e, rho=rho, u=u, u_hat=rho_u_hat, u_conv=conv, S=S, S_hat=S_hat,
         potential=v, config=config, iterations=iterations, scheme_used=scheme_used,
         pde_residual=pde_residual, constraint_residual=constraint_residual,
         tail_mass=tail_mass, integral_u=integral_u,
         beta_curvature=beta_curvature, tail=tail, cross_check=gap,
         monotone_iterates=monotone,
     )
-    state._cache["u_conv"] = conv
-    return state
 
 
 def solve_fixed_e(v: Potential, e: float, config: SolverConfig | None = None,
@@ -593,10 +629,10 @@ def rho_prime(state: SolutionState) -> float:
 
     The denominator is provably positive; it is asserted here.
     """
-    kv = state.frakKe_v().values
+    kv = state.frakKe_v.values
     grid = state.grid
     u = state.u.values
-    conv = state.u_convolution().values
+    conv = state.u_conv.values
     rho = state.rho
     int_kv_conv = grid.integrate(kv * conv)
     int_kv_u = grid.integrate(kv * u)
@@ -612,15 +648,14 @@ def rho_prime(state: SolutionState) -> float:
 
 def u_prime(state: SolutionState, rho_prime_value: float) -> RadialField:
     """u' = fK_e(-4u + 2 rho u*u + 2 e rho' u*u), the e-derivative of u."""
-    conv = state.u_convolution().values
+    conv = state.u_conv.values
     payload = RadialField(
         state.grid,
         -4.0 * state.u.values
         + (2.0 * state.rho + 2.0 * state.e * rho_prime_value) * conv,
         POSITION,
     )
-    return require_converged(apply_frakKe(payload, state.context, tol=state.config.inner_tol),
-                             "fK_e solve for u'")
+    return state.solve_frakKe(payload, "u'")
 
 
 def u_prime_integral(state: SolutionState, uprime: RadialField,

@@ -307,7 +307,7 @@ def test_criterion_11_operator_audit(explicit_state, decay_state, lhy_states,
                "lhy_1e-5": lhy_states[1], "gauss_e1": bracket_states[-1]}
     problems = []
     for name, st in battery.items():
-        kv = st.frakKe_v().values
+        kv = st.frakKe_v.values
         if not (np.min(kv) >= -1e-10 and np.max(kv) <= 1 + 1e-10):
             problems.append(f"{name}: fK_e v range")
         if symmetry_check(st.potential.samples, st.u, st.context) > 1e-6:

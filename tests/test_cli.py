@@ -138,6 +138,14 @@ class TestRunModes:
         assert code == 2
         assert "must be positive and finite" in capsys.readouterr().err
 
+    def test_offgrid_momentum_exits_2(self, tmp_path, capsys):
+        # k_max = 1000 lies beyond this grid's last wavenumber, 64.33
+        code = main(["--mode", "observables"] + GAUSS
+                    + ["--e", "0.01", "--grid-n", "8191", "--r-max", "400",
+                       "--k-max", "1000", "--out", str(tmp_path / "obs")])
+        assert code == 2
+        assert "momentum samples need 0 < k <= 64.332" in capsys.readouterr().err
+
     def test_strong_potential_exits_with_package_error(self, tmp_path, capsys):
         # the iterate reaches u = 1 on the support of v, so int (1-u) v = 0
         code = main(["--mode", "solve", "--potential", "gaussian", "--amp", "10000",

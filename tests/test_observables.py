@@ -4,8 +4,8 @@ import pytest
 from bosegas import (SolverConfig, beta_moment, bound_audit,
                      condensate_depletion, decay_constant, gaussian_potential,
                      lhy_coefficient, lhy_compare, momentum_distribution,
-                     shared_denominator, solve_fixed_e, sweep, tan_constant)
-from bosegas.observables import u_lp_bound_constant
+                     observables_report, solve_fixed_e, sweep, tan_constant)
+from bosegas.observables import depletion_consistency, u_lp_bound_constant
 
 
 class TestBeta:
@@ -33,7 +33,7 @@ class TestCondensateDepletion:
     def test_consistency_reconstruction(self, state_gauss):
         eta = condensate_depletion(state_gauss)
         assert np.isfinite(eta)
-        assert state_gauss._cache["eta_consistency"] <= 1e-6
+        assert depletion_consistency(state_gauss, eta) <= 1e-6
 
     def test_positive_in_guaranteed_regime(self, state_gauss):
         from bosegas.observables import eta_nonnegativity_guaranteed
@@ -53,10 +53,9 @@ class TestCondensateDepletion:
 class TestMomentumDistribution:
     def test_denominator_shared_with_eta(self, state_gauss):
         condensate_depletion(state_gauss)
-        d1 = shared_denominator(state_gauss)
+        d1 = state_gauss.D
         momentum_distribution(state_gauss, [0.5, 1.0])
-        assert shared_denominator(state_gauss) is state_gauss._cache["obs_denominator"]
-        assert shared_denominator(state_gauss) == d1
+        assert state_gauss.D is d1
 
     def test_finite_at_smallest_grid_k(self, state_gauss):
         k1 = float(state_gauss.grid.k[0])
@@ -64,8 +63,8 @@ class TestMomentumDistribution:
         assert np.isfinite(m)
 
     def test_rejects_offgrid_k(self, state_gauss):
-        from bosegas.errors import ConvergenceError
-        with pytest.raises(ConvergenceError):
+        from bosegas.errors import ConfigurationError
+        with pytest.raises(ConfigurationError):
             momentum_distribution(state_gauss, [0.0])
 
     def test_tan_constant_value(self, state_gauss):
@@ -106,17 +105,39 @@ class TestLHY:
 
 class TestObservableReport:
     def test_bundles_shared_denominator(self, state_gauss):
-        from bosegas import observables_report
         report = observables_report(state_gauss, k_values=[0.5, 1.0, 2.0])
-        assert report.denominator == shared_denominator(state_gauss)
+        assert report.denominator == state_gauss.D
         assert len(report.momentum_samples) == 3
         k, m, k4m = report.momentum_samples[1]
         assert k4m == pytest.approx(k**4 * m)
         assert report.eta_consistency <= 1e-6
         assert report.tan_constant == tan_constant(state_gauss)
 
+    def test_independent_of_call_order(self, gauss_small):
+        config = SolverConfig(n=4095, r_max=100.0)
+        v = gauss_small.resampled(config.grid_for(0.5))
+        ks = [0.5, 1.0, 2.0]
+        fresh = observables_report(solve_fixed_e(v, 0.5, config), k_values=ks)
+        used = solve_fixed_e(v, 0.5, config)
+        condensate_depletion(used)
+        momentum_distribution(used, ks)
+        assert observables_report(used, k_values=ks) == fresh
+
+    def test_lhy_fields_match_lhy_compare(self, state_gauss):
+        a0 = state_gauss.potential.a0
+        report = observables_report(state_gauss, a0=a0, k_values=[])
+        row = lhy_compare([state_gauss], a0)[0]
+        assert (report.rho_a0_cubed, report.lhy_ratio) == (row["rho_a0_cubed"],
+                                                           row["lhy_ratio"])
+
 
 class TestBoundAudit:
+    def test_starts_with_the_state_contract(self, state_gauss):
+        audit = bound_audit(state_gauss, probe_operator=False)
+        contract = list(state_gauss.check_invariants().values())
+        assert [(r.name, r.lhs, r.rhs, r.passed) for r in audit.rows[:5]] == \
+            [(r.name, r.lhs, r.rhs, r.passed) for r in contract[:5]]
+
     def test_all_asserted_rows_pass(self, state_gauss):
         audit = bound_audit(state_gauss, probe_operator=True)
         assert audit.asserted_ok, [r.name for r in audit.failures()]
@@ -134,7 +155,7 @@ class TestBoundAudit:
         expected = (6 * 0.5 * (5 + 2 * g.r**2)
                     / ((1 + g.r**2) ** 2 * (4 + g.r**2) ** 2))
         got = 2 * state_explicit.u.values - state_explicit.rho \
-            * state_explicit.u_convolution().values
+            * state_explicit.u_conv.values
         sel = g.r <= 20.0
         np.testing.assert_allclose(got[sel], expected[sel], rtol=1e-6)
 

@@ -378,7 +378,7 @@ class TestFrakKe:
         assert runs[0][1] == runs[1][1]
 
     def test_kv_range(self, state_gauss):
-        kv = state_gauss.frakKe_v().values
+        kv = state_gauss.frakKe_v.values
         assert np.min(kv) >= -1e-10
         assert np.max(kv) <= 1.0 + 1e-10
         assert np.min(kv) < 1.0 - 1e-3     # strictly below 1 somewhere
@@ -403,7 +403,7 @@ class TestFrakKe:
         # int v fK_e v <= int v, from 0 <= fK_e v <= 1
         v = state_gauss.potential
         lhs = state_gauss.grid.integrate(v.samples.values
-                                         * state_gauss.frakKe_v().values)
+                                         * state_gauss.frakKe_v.values)
         assert lhs <= v.norms.v_l1
 
 

@@ -37,6 +37,15 @@ class TestSolveFixedE:
         v1 = state_gauss.potential.norms.v_l1
         assert 2 * state_gauss.e / v1 <= state_gauss.rho <= 4 * state_gauss.e / v1
 
+    def test_violation_names_the_failed_bracket_half(self):
+        # rho = 5.14e-3 against 4e/||v||_1 = 3.59e-3; the lower half holds
+        config = SolverConfig(n=4095, r_max=100.0)
+        state = solve_fixed_e(gaussian_potential(10.0, 1.0, config.grid_for(0.05)),
+                              0.05, config)
+        with pytest.raises(InvariantViolation, match="con4B_high") as info:
+            state.require_invariants()
+        assert "con4B_low" not in str(info.value)
+
     def test_rejects_nonpositive_e(self, gauss_small):
         with pytest.raises(ConfigurationError):
             solve_fixed_e(gauss_small, -1.0, SolverConfig(n=256, r_max=20.0))
@@ -217,8 +226,8 @@ class TestMonotoneNewton:
         e = 1e-3
         config = SolverConfig(n=n, r_max=400.0 / np.sqrt(e), scheme=MONOTONE)
         state = solve_fixed_e(gaussian_potential(100.0, 1.0, config.grid_for(e)), e, config)
-        value, ok = state.check_invariants()["normalization"]
-        assert ok, value
+        row = state.check_invariants()["intu"]
+        assert row.passed, row.lhs
 
     def test_strong_fallback_normalizes(self):
         # Picard stopped at |rho int u - 1| = 2.7e-4 here
@@ -384,8 +393,8 @@ class TestDerivatives:
         assert rp == pytest.approx(fd, rel=0.01)
 
     def test_rho_prime_denominator_in_unit_interval(self, state_explicit):
-        kv = state_explicit.frakKe_v().values
-        conv = state_explicit.u_convolution().values
+        kv = state_explicit.frakKe_v.values
+        conv = state_explicit.u_conv.values
         den = 1.0 - state_explicit.rho**2 * state_explicit.grid.integrate(kv * conv)
         assert 0.0 < den < 1.0
 
@@ -443,7 +452,7 @@ class TestSweep:
         config = SolverConfig(n=2047, r_max=60.0)
         record = sweep(gauss_small, np.geomspace(0.05, 0.3, 5), config)
         for row in record.rows[:3]:
-            assert row.error is not None and "normalization" in row.error
+            assert row.error is not None and "intu" in row.error
             assert row.state.normalization_defect() > 1e-6
         assert all(row.error is None for row in record.rows[3:])
         assert record.converged_rows == record.rows[3:]
