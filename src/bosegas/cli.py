@@ -25,8 +25,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from . import __version__
-from .errors import (BosegasError, ConfigurationError, ConvergenceError,
-                     InvariantViolation)
+from .errors import BosegasError, ConfigurationError, InvariantViolation
 from .grids import auto_r_max, fast_grid_size
 from .observables import beta_moment, bound_audit, observables_report
 from .potentials import (ExplicitSolutionSpec, explicit_potential,
@@ -432,9 +431,6 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         for message in exc.messages:
             print(f"config error: {message}", file=sys.stderr)
-        return exc.exit_code
-    except (ConvergenceError, InvariantViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except BosegasError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,12 +12,13 @@ multiplier is 1/(k^2 + 4e(1 - rho*uhat(k))), bounded below by sqrt(8e)|k|.
 With v >= 0 both K_e^-1 and fK_e^-1 are self-adjoint and positive in the
 r^2 dr inner product, which is what conjugate gradients needs.
 
-K_e and fK_e are both (kM + v)^-1 with kM diagonal in k (G_e^-1, Y_e^-1),
-solved by one CG kernel. Its preconditioner inverts kM + v exactly where v
-lives on at most _SUPPORT_MAX grid nodes (a capacitance-matrix correction
-to kM^-1), so such solves take one or two iterations whatever the strength
-of v; for a wider support it is kM^-1 alone. An OperatorContext builds that
-correction (a Capacitance) once for all its fK_e solves.
+K_e, fK_e and the Newton operator of the monotone scheme are all
+(kM + v)^-1 with kM diagonal in k (G_e^-1, Y_e^-1), solved by one
+Resolvent. Its preconditioner inverts kM + v exactly where v lives on at
+most _SUPPORT_MAX grid nodes (a capacitance-matrix correction to kM^-1), so
+such solves take one or two iterations whatever the strength of v; for a
+wider support it is kM^-1 alone. An OperatorContext builds its Resolvent
+once for all its fK_e solves.
 """
 
 from __future__ import annotations
@@ -29,13 +30,19 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import ConfigurationError, ConvergenceError, InvariantViolation
+from .errors import (ConfigurationError, ConvergenceError, GridMismatchError,
+                     InvariantViolation)
 from .grids import (FREQUENCY, POSITION, RadialField, RadialGrid, dst1,
                     fourier_radial, inverse_fourier_radial)
 from .potentials import Potential, QualityWarning
 
 DEFAULT_TOL = 1e-10
-MAX_ITER = 10_000
+INNER_TOL = 1e-12
+"""Relative residual of each K_e/fK_e solve of the solver and observables. The
+recomputed residual floors above it, higher for larger n and rougher payloads
+(fK_e u: ~2e-12 at n=4095, 6e-11 at n=161999); below that, ``final_residual``
+is the CG recurrence's estimate."""
+MAX_ITER = 10_000        # CG iterations before a solve is reported unconverged
 POSITIVITY_SLACK = 1e-10
 _SUPPORT_RTOL = 1e-14    # v above this fraction of max v is on the preconditioner's support
 _SUPPORT_MAX = 256       # largest support treated exactly; a wider one gets no correction
@@ -44,10 +51,8 @@ _SUPPORT_MAX = 256       # largest support treated exactly; a wider one gets no 
 @dataclass(frozen=True)
 class LinearSolveReport:
     """One K_e/fK_e solve; ``final_residual`` is the relative forward residual
-    ||psi - A w|| / ||psi|| carried by the CG recurrence, not recomputed.
-    The recomputed residual has a round-off floor that grows with n and with
-    the payload (fK_e u: ~2e-12 at n=4095, 6e-11 at n=161999), so a reported
-    value below it is the recurrence's estimate only."""
+    ||psi - A w|| / ||psi|| carried by the CG recurrence, not recomputed (see
+    INNER_TOL for its round-off floor)."""
 
     iterations: int
     final_residual: float
@@ -61,11 +66,12 @@ class OperatorContext:
     e: float
     v: Potential
     rho_u_hat: RadialField   # the function rho * uhat(k) on the k-grid
-    grid: RadialGrid
 
     def __post_init__(self):
         if self.e <= 0:
             raise ConfigurationError("operator context needs e > 0")
+        if self.v.grid != self.grid:
+            raise GridMismatchError("operator context: v and rho_u_hat live on different grids")
         if self.rho_u_hat.space != FREQUENCY:
             raise ConfigurationError("rho_u_hat must be frequency-tagged")
         w = self.rho_u_hat.values
@@ -85,15 +91,18 @@ class OperatorContext:
                 f"k = {k_bad:.6g}; state violates the spectral lower bound"
             )
 
+    @property
+    def grid(self) -> RadialGrid:
+        return self.rho_u_hat.grid
+
     def multiplier(self) -> np.ndarray:
         k = self.grid.k
         return k * k + 4.0 * self.e * (1.0 - self.rho_u_hat.values)
 
     @cached_property
-    def capacitance(self) -> Capacitance:
-        """fK_e's preconditioner correction, built on first use and shared by
-        every solve in this context."""
-        return Capacitance(self.grid, self.multiplier(), self.v.samples.values)
+    def resolvent(self) -> Resolvent:
+        """fK_e, built on first use and shared by every solve in this context."""
+        return Resolvent(self.grid, self.v.samples.values, self.multiplier())
 
 
 def _multiply_in_k(psi: RadialField, multiplier: np.ndarray) -> RadialField:
@@ -104,9 +113,10 @@ def _multiply_in_k(psi: RadialField, multiplier: np.ndarray) -> RadialField:
     )
 
 
-def _warn_ringing(out: np.ndarray, psi: np.ndarray, label: str) -> np.ndarray:
-    """Clamp sub-1e-10 negative ringing on sign-definite output; warn if worse."""
-    if np.all(psi >= 0) and out.size:
+def _output_field(psi: RadialField, out: np.ndarray, label: str) -> RadialField:
+    """The position field of an operator's output values, with sub-1e-10
+    negative ringing on sign-definite output clamped; warns if worse."""
+    if np.all(psi.values >= 0) and out.size:
         scale = max(float(np.max(np.abs(out))), 1e-300)
         worst = float(np.min(out))
         if worst < -POSITIVITY_SLACK * scale:
@@ -117,7 +127,7 @@ def _warn_ringing(out: np.ndarray, psi: np.ndarray, label: str) -> np.ndarray:
             )
         elif worst < 0:
             out = np.where(out < 0, 0.0, out)
-    return out
+    return RadialField(psi.grid, out, POSITION)
 
 
 def apply_Ge(psi: RadialField, e: float) -> RadialField:
@@ -125,30 +135,23 @@ def apply_Ge(psi: RadialField, e: float) -> RadialField:
     if e <= 0:
         raise ConfigurationError("apply_Ge needs e > 0")
     out = _multiply_in_k(psi, 1.0 / (psi.grid.k**2 + 4.0 * e))
-    vals = _warn_ringing(out.values, psi.values, "G_e")
-    return RadialField(psi.grid, vals, POSITION)
+    return _output_field(psi, out.values, "G_e")
 
 
 def apply_Ye(psi: RadialField, ctx: OperatorContext) -> RadialField:
     """Y_e psi through the diagonal multiplier of the context."""
     out = _multiply_in_k(psi, 1.0 / ctx.multiplier())
-    vals = _warn_ringing(out.values, psi.values, "Y_e")
-    return RadialField(psi.grid, vals, POSITION)
+    return _output_field(psi, out.values, "Y_e")
 
 
-def _kM_inverse_scale(grid: RadialGrid, multiplier: np.ndarray) -> np.ndarray:
-    """q with kM^-1 y = dst1(dst1(y) q) on y = r*w: DST-I twice is 2(n+1)
-    times the identity."""
-    return 1.0 / (2.0 * (grid.n + 1) * multiplier)
-
-
-class Capacitance:
-    """Correction that turns the CG preconditioner kM^-1 into M^-1, where
-    M = kM + P D P^T on y = r*w, kM is diagonal in k with entries
-    ``multiplier``, P selects the m nodes where v > _SUPPORT_RTOL max v and
+class Resolvent:
+    """(kM + v)^-1 on raw arrays, kM diagonal in k with entries ``multiplier``,
+    by conjugate gradients preconditioned with M^-1, M = kM + P D P^T on
+    y = r*w, where P selects the m nodes where v > _SUPPORT_RTOL max v and
     D = diag(v) there.
 
-    As a matrix kM^-1 = dst1(dst1(.) q) is Toeplitz minus Hankel,
+    As a matrix kM^-1 = dst1(dst1(.) q), q = 1/(2(n+1) multiplier) (DST-I
+    twice is 2(n+1) times the identity), is Toeplitz minus Hankel,
     (kM^-1)_ij = c(|i-j|) - c(i+j+2) with c the DCT-I of [0, q, 0], even
     about N = n+1. Its first column is c(i) - c(i+2), so (kM^-1)_ij is the
     sum of that column over |i-j|, |i-j|+2, ..., i+j: two same-parity prefix
@@ -156,19 +159,21 @@ class Capacitance:
     (and no transform of a new length). By Woodbury, M^-1 s = kM^-1 (s - P x)
     with x = D^1/2 C^-1 D^1/2 (kM^-1 s)_P and C = I + D^1/2 (kM^-1)_PP D^1/2,
     the capacitance matrix (Buzbee, Dorr, George & Golub 1971; Proskurowski &
-    Widlund 1976), Cholesky-factored once here. Only m-sized arrays are kept.
+    Widlund 1976), Cholesky-factored once here. Only m-sized arrays are kept,
+    so ``solve`` takes the multiplier again.
 
     When the support of v has more than _SUPPORT_MAX nodes, m = 0 and M = kM.
     """
 
-    def __init__(self, grid: RadialGrid, multiplier: np.ndarray, v_values: np.ndarray):
+    def __init__(self, grid: RadialGrid, v_values: np.ndarray, multiplier: np.ndarray):
+        self.grid, self.v_values = grid, v_values
         support = np.flatnonzero(v_values > _SUPPORT_RTOL * np.max(v_values))
         self.support = support if support.size <= _SUPPORT_MAX else support[:0]
         if self.support.size:
             n = grid.n
             unit = np.zeros(n)
             unit[0] = 1.0
-            column = dst1(dst1(unit) * _kM_inverse_scale(grid, multiplier))
+            column = dst1(dst1(unit) * self._kM_inverse_scale(multiplier))
             top = 2 * int(self.support[-1])     # the largest i + j
             if top >= n:    # c even about N makes the column odd about index n
                 column = np.concatenate((column, [0.0], -column[:0:-1]))
@@ -183,70 +188,68 @@ class Capacitance:
             capacitance[np.diag_indices_from(capacitance)] += 1.0
             self.factor = cho_factor(capacitance)
 
-    def residual(self, res: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """s - P x into ``out``, from s = ``res`` and z = kM^-1 s."""
-        x = self.d_half * cho_solve(self.factor, self.d_half * z[self.support])
-        np.copyto(out, res)
-        out[self.support] -= x
-        return out
+    def _kM_inverse_scale(self, multiplier: np.ndarray) -> np.ndarray:
+        """q with kM^-1 y = dst1(dst1(y) q) on y = r*w."""
+        return 1.0 / (2.0 * (self.grid.n + 1) * multiplier)
 
+    def solve(self, psi: np.ndarray, multiplier: np.ndarray, tol: float):
+        """Solve (kM + v) w = psi, kM with the ``multiplier`` this Resolvent
+        was built with; returns (w values, LinearSolveReport).
 
-def _preconditioned_cg(grid: RadialGrid, psi: np.ndarray, v_values: np.ndarray,
-                       multiplier: np.ndarray, capacitance: Capacitance, tol: float,
-                       max_iter: int):
-    """Solve (kM + v) w = psi on raw arrays, kM diagonal in k with entries
-    ``multiplier``, preconditioned by M^-1, M = kM + v on the support of v
-    (see Capacitance).
-
-    Conjugate gradients in the r^2 dr inner product, run on y = r*w: there
-    the inner product is a plain dot (its 4 pi dr cancels in every ratio)
-    and v is diagonal. z = M^-1 r is kM^-1 (r - P x), and kM z = r - P x,
-    so kM p follows from the recurrence kM p <- (r - P x) + beta kM p. An
-    iteration costs four DST-I calls and an m x m triangular solve pair, or
-    two DST-I calls when m = 0 (then P x = 0 and M = kM). Stops when the
-    recursively updated relative residual ||r|| / ||psi|| reaches ``tol``;
-    the true residual of w levels off above 1e-12 relative, so checking it
-    against a tighter tol would never stop. A breakdown (r.z or p.Ap not
-    positive, e.g. by underflow) ends the solve unconverged. Returns
-    (w values, LinearSolveReport).
-    """
-    res_y = grid.r * psi
-    psi_sq = float(np.dot(res_y, res_y))
-    if psi_sq == 0.0:
-        return np.zeros(grid.n), LinearSolveReport(0, 0.0, True)
-    q = _kM_inverse_scale(grid, multiplier)
-    corrected = capacitance.support.size > 0
-    y, p, kMp, Ap = (np.zeros(grid.n) for _ in range(4))
-    kMz = np.empty(grid.n) if corrected else res_y    # r - P x
-    res = 1.0                  # ||r|| / ||psi|| at w = 0
-    rz_prev = np.inf           # makes the first beta zero
-    for it in range(1, max_iter + 1):
-        z = dst1(res_y)
-        z *= q
-        z = dst1(z)
-        if corrected:
-            z = dst1(capacitance.residual(res_y, z, kMz))
+        Conjugate gradients in the r^2 dr inner product, run on y = r*w: there
+        the inner product is a plain dot (its 4 pi dr cancels in every ratio)
+        and v is diagonal. z = M^-1 r is kM^-1 (r - P x), and kM z = r - P x,
+        so kM p follows from the recurrence kM p <- (r - P x) + beta kM p. An
+        iteration costs four DST-I calls and an m x m triangular solve pair,
+        or two DST-I calls when m = 0 (then P x = 0 and M = kM). Stops when
+        the recursively updated relative residual ||r|| / ||psi|| reaches
+        ``tol``, or unconverged after MAX_ITER iterations; the true residual
+        of w levels off above 1e-12 relative, so checking it against a
+        tighter tol would never stop. A breakdown (r.z or p.Ap not positive,
+        e.g. by underflow) ends the solve unconverged.
+        """
+        grid, v_values = self.grid, self.v_values
+        res_y = grid.r * psi
+        psi_sq = float(np.dot(res_y, res_y))
+        if psi_sq == 0.0:
+            return np.zeros(grid.n), LinearSolveReport(0, 0.0, True)
+        q = self._kM_inverse_scale(multiplier)
+        corrected = self.support.size > 0
+        y, p, kMp, Ap = (np.zeros(grid.n) for _ in range(4))
+        kMz = np.empty(grid.n) if corrected else res_y    # r - P x
+        res = 1.0                  # ||r|| / ||psi|| at w = 0
+        rz_prev = np.inf           # makes the first beta zero
+        for it in range(1, MAX_ITER + 1):
+            z = dst1(res_y)
             z *= q
             z = dst1(z)
-        rz = float(np.dot(res_y, z))
-        beta = rz / rz_prev
-        p *= beta
-        p += z
-        kMp *= beta
-        kMp += kMz
-        np.multiply(v_values, p, out=Ap)
-        Ap += kMp
-        pAp = float(np.dot(p, Ap))
-        if not (rz > 0.0 and pAp > 0.0):   # breakdown, e.g. underflow
-            return y / grid.r, LinearSolveReport(it - 1, res, False)
-        alpha = rz / pAp
-        y += alpha * p
-        res_y -= alpha * Ap
-        res = float(np.sqrt(np.dot(res_y, res_y) / psi_sq))
-        if res <= tol:
-            return y / grid.r, LinearSolveReport(it, res, True)
-        rz_prev = rz
-    return y / grid.r, LinearSolveReport(max_iter, res, False)
+            if corrected:
+                # kMz = s - P x, x = D^1/2 C^-1 D^1/2 z_P, from s = res_y and z = kM^-1 s
+                x = self.d_half * cho_solve(self.factor, self.d_half * z[self.support])
+                np.copyto(kMz, res_y)
+                kMz[self.support] -= x
+                z = dst1(kMz)
+                z *= q
+                z = dst1(z)
+            rz = float(np.dot(res_y, z))
+            beta = rz / rz_prev
+            p *= beta
+            p += z
+            kMp *= beta
+            kMp += kMz
+            np.multiply(v_values, p, out=Ap)
+            Ap += kMp
+            pAp = float(np.dot(p, Ap))
+            if not (rz > 0.0 and pAp > 0.0):   # breakdown, e.g. underflow
+                return y / grid.r, LinearSolveReport(it - 1, res, False)
+            alpha = rz / pAp
+            y += alpha * p
+            res_y -= alpha * Ap
+            res = float(np.sqrt(np.dot(res_y, res_y) / psi_sq))
+            if res <= tol:
+                return y / grid.r, LinearSolveReport(it, res, True)
+            rz_prev = rz
+        return y / grid.r, LinearSolveReport(MAX_ITER, res, False)
 
 
 def require_converged(solved, what: str, history=None):
@@ -259,28 +262,24 @@ def require_converged(solved, what: str, history=None):
     return out
 
 
-def apply_Ke(psi: RadialField, e: float, v: Potential, tol: float = DEFAULT_TOL,
-             max_iter: int = MAX_ITER) -> tuple[RadialField, LinearSolveReport]:
+def apply_Ke(psi: RadialField, e: float, v: Potential,
+             tol: float = DEFAULT_TOL) -> tuple[RadialField, LinearSolveReport]:
     """K_e psi = (-Delta + v + 4e)^-1 psi by conjugate gradients preconditioned
     with G_e^-1 + v on the support of v."""
     if e <= 0:
         raise ConfigurationError("apply_Ke needs e > 0")
-    g, v_values = psi.grid, v.samples.values
-    multiplier = g.k**2 + 4.0 * e
-    out, report = _preconditioned_cg(g, psi.values, v_values, multiplier,
-                                     Capacitance(g, multiplier, v_values), tol, max_iter)
-    vals = _warn_ringing(out, psi.values, "K_e")
-    return RadialField(psi.grid, vals, POSITION), report
+    multiplier = psi.grid.k**2 + 4.0 * e
+    out, report = Resolvent(psi.grid, v.samples.values, multiplier).solve(
+        psi.values, multiplier, tol)
+    return _output_field(psi, out, "K_e"), report
 
 
-def apply_frakKe(psi: RadialField, ctx: OperatorContext, tol: float = DEFAULT_TOL,
-                 max_iter: int = MAX_ITER) -> tuple[RadialField, LinearSolveReport]:
+def apply_frakKe(psi: RadialField, ctx: OperatorContext,
+                 tol: float = DEFAULT_TOL) -> tuple[RadialField, LinearSolveReport]:
     """fK_e psi by conjugate gradients preconditioned with Y_e^-1 + v on the
     support of v."""
-    out, report = _preconditioned_cg(psi.grid, psi.values, ctx.v.samples.values,
-                                     ctx.multiplier(), ctx.capacitance, tol, max_iter)
-    vals = _warn_ringing(out, psi.values, "fK_e")
-    return RadialField(psi.grid, vals, POSITION), report
+    out, report = ctx.resolvent.solve(psi.values, ctx.multiplier(), tol)
+    return _output_field(psi, out, "fK_e"), report
 
 
 def symmetry_check(phi: RadialField, psi: RadialField, ctx: OperatorContext,

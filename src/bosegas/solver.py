@@ -40,7 +40,7 @@ odd power series in r/2R and built once per grid (n, r_max).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -50,14 +50,16 @@ from scipy.special import binom, zeta
 from .errors import ConfigurationError, ConvergenceError, InvariantViolation
 from .grids import (FREQUENCY, POSITION, RadialField, RadialGrid, auto_r_max, dst1,
                     fourier_radial, inverse_fourier_radial, make_grid)
-from .operators import (MAX_ITER, Capacitance, OperatorContext, _preconditioned_cg,
-                        apply_frakKe, apply_Ke, require_converged)
+from .operators import (INNER_TOL, OperatorContext, Resolvent, apply_frakKe, apply_Ke,
+                        require_converged)
 from .potentials import Potential, QualityWarning
 
 FOURIER = "fourier_self_consistent"
 MONOTONE = "real_space_monotone"
 CROSS_VALIDATED = "cross_validated"
 SCHEMES = (FOURIER, MONOTONE, CROSS_VALIDATED)
+_OUTER_TOL = 1e-10      # max|G(u) - u| (k-space) or max|d| (Newton) at convergence
+_MAX_OUTER = 500        # outer steps before either scheme gives up
 _ANDERSON_DEPTH = 2     # past differences mixed by the k-space iteration
 _STALL_WINDOW = 25      # k-space steps without a new minimum of max|f| before hand-over
 _IMAGE_TERMS = 44       # odd terms of the image series; the last is < 1e-20 relative at x = 1/2
@@ -69,22 +71,13 @@ _INVERSION_RTOL = 1e-8  # |rho - target| / target accepted at the root of solve_
 class SolverConfig:
     n: int = 4095                       # n+1 5-smooth: a fast DST-I
     r_max: float | None = None          # None: auto_r_max(e_min), 40 healing lengths
-    outer_tol: float = 1e-10
-    max_outer: int = 500
     scheme: str = FOURIER
-    inner_tol: float = 1e-12
-    """Relative residual of each K_e/fK_e solve. The recomputed residual floors
-    above it, higher for larger n and rougher payloads (fK_e u: ~2e-12 at
-    n=4095, 6e-11 at n=161999); below that, ``final_residual`` is the CG
-    recurrence's estimate."""
 
     def __post_init__(self):
         if self.n < 16:
             raise ConfigurationError(f"solver grids need n >= 16, got {self.n}")
         if self.scheme not in SCHEMES:
             raise ConfigurationError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
-        if self.outer_tol <= 10.0 * self.inner_tol:
-            raise ConfigurationError("outer_tol must exceed 10x the inner tolerance")
 
     def r_max_for(self, e_min: float) -> float:
         return self.r_max if self.r_max is not None else auto_r_max(e_min)
@@ -128,6 +121,12 @@ class AuditRow:
         return self.rhs - self.lhs
 
 
+# rho <= 4e/||v||_1 holds exactly when int u v <= ||v||_1 / 2, which strong
+# potentials break on every grid (u -> 1 on the support of v); a finer grid
+# does not clear this row
+_GRID_INDEPENDENT_ROWS = frozenset({"con4B_high"})
+
+
 @dataclass
 class SolutionState:
     """Converged bundle (e, rho, u, S, transforms, diagnostics) of one solve.
@@ -155,7 +154,6 @@ class SolutionState:
     tail: TailModel
     cross_check: float | None = None
     monotone_iterates: bool | None = None
-    notes: list = field(default_factory=list)
 
     @property
     def grid(self) -> RadialGrid:
@@ -163,11 +161,11 @@ class SolutionState:
 
     @cached_property
     def context(self) -> OperatorContext:
-        return OperatorContext(e=self.e, v=self.potential, rho_u_hat=self.u_hat, grid=self.grid)
+        return OperatorContext(e=self.e, v=self.potential, rho_u_hat=self.u_hat)
 
     def solve_frakKe(self, payload: RadialField, what: str) -> RadialField:
-        """fK_e payload at this state, to the config's inner tolerance."""
-        return require_converged(apply_frakKe(payload, self.context, tol=self.config.inner_tol),
+        """fK_e payload at this state, to INNER_TOL."""
+        return require_converged(apply_frakKe(payload, self.context, tol=INNER_TOL),
                                  f"fK_e solve for {what}")
 
     @cached_property
@@ -220,12 +218,16 @@ class SolutionState:
         return {row.name: row for row in rows}
 
     def require_invariants(self, norm_tol: float = 1e-6):
+        """InvariantViolation naming every failed contract row; the grid hint
+        is given only when a failed row is one refinement can move."""
         failed = [row for row in self.check_invariants(norm_tol).values() if not row.passed]
         if failed:
+            hint = ("; increase r_max and/or n"
+                    if any(r.name not in _GRID_INDEPENDENT_ROWS for r in failed) else "")
             raise InvariantViolation(
                 "converged state violates "
                 + ", ".join(f"{r.name} ({r.note}: {r.lhs:.6g} vs {r.rhs:.6g})" for r in failed)
-                + "; increase r_max and/or n"
+                + hint
             )
 
 
@@ -345,6 +347,16 @@ def _density(e: float, s0: float, history: list) -> float:
     return 2.0 * e / s0
 
 
+def _spectral_terms(u: RadialField, e: float):
+    """uhat, u*u and (-Delta + 4e) u of a position field, by three transforms;
+    the first as raw values, the other two as fields."""
+    u_hat = fourier_radial(u).values
+    conv = inverse_fourier_radial(RadialField(u.grid, u_hat * u_hat, FREQUENCY))
+    lap4e = inverse_fourier_radial(
+        RadialField(u.grid, (u.grid.k**2 + 4.0 * e) * u_hat, FREQUENCY))
+    return u_hat, conv, lap4e
+
+
 def _kspace_map(v: Potential, e: float, grid: RadialGrid):
     """The closed-form map u -> (G(u), rho(u)) of the k-space scheme.
 
@@ -395,15 +407,14 @@ def _kspace_map(v: Potential, e: float, grid: RadialGrid):
     return step
 
 
-def _fourier_iteration(v: Potential, e: float, config: SolverConfig, grid: RadialGrid,
-                       u0: np.ndarray | None):
+def _fourier_iteration(v: Potential, e: float, grid: RadialGrid, u0: np.ndarray | None):
     """Self-consistent k-space iteration; returns (u, rho, iterations, history).
 
     Type-II Anderson mixing (Walker & Ni 2011) of the closed-form map G: the
     next iterate is G(u) - dG gamma, where gamma fits f = G(u) - u in least
     squares by the last ``_ANDERSON_DEPTH`` differences of f, dG holds those
     of G; when max|f| grows the history restarts from its newest difference.
-    The fixed point is that of u = G(u); stops at max|f| <= outer_tol and
+    The fixed point is that of u = G(u); stops at max|f| <= _OUTER_TOL and
     returns G(u) and its rho, or raises ConvergenceError once max|f| is not
     finite or has set no new minimum for ``_STALL_WINDOW`` steps.
     """
@@ -415,7 +426,7 @@ def _fourier_iteration(v: Potential, e: float, config: SolverConfig, grid: Radia
     g_prev = None
     filled = 0          # differences stored since the last restart
     history = []
-    for it in range(1, config.max_outer + 1):
+    for it in range(1, _MAX_OUTER + 1):
         g, rho = step(u, history)
         np.subtract(g, u, out=f)
         delta = float(np.max(np.abs(f)))
@@ -423,7 +434,7 @@ def _fourier_iteration(v: Potential, e: float, config: SolverConfig, grid: Radia
         if not np.isfinite(delta):
             raise ConvergenceError(
                 f"k-space iterate is not finite on step {it}", history=history)
-        if delta <= config.outer_tol:
+        if delta <= _OUTER_TOL:
             return g, rho, it, history
         if it - 1 - int(np.argmin(history)) >= _STALL_WINDOW:
             raise ConvergenceError(
@@ -442,13 +453,13 @@ def _fourier_iteration(v: Potential, e: float, config: SolverConfig, grid: Radia
         f, f_prev = f_prev, f
         g_prev = g
     raise ConvergenceError(
-        f"k-space iteration did not reach {config.outer_tol} in "
-        f"{config.max_outer} iterations (last delta {history[-1]:.3e})",
+        f"k-space iteration did not reach {_OUTER_TOL} in "
+        f"{_MAX_OUTER} iterations (last delta {history[-1]:.3e})",
         history=history,
     )
 
 
-def _monotone_iteration(v: Potential, e: float, config: SolverConfig, grid: RadialGrid):
+def _monotone_iteration(v: Potential, e: float, grid: RadialGrid):
     """Monotone Newton (Ortega & Rheinboldt 1970, 13.3) on the real-space system
     from u_0 = 0; returns (u, rho, iterations, monotone, history).
 
@@ -457,7 +468,7 @@ def _monotone_iteration(v: Potential, e: float, config: SolverConfig, grid: Radi
     Sherman-Morrison a step solves A a = R and A b = u*u by CG and moves by
     d = a + c b, c = rho^2 int v a / (1 - rho^2 int v b). At u_0 = 0, A = K_e^-1
     and b = 0: the first step is u_1 = K_e v. The two solves of a step share
-    one Capacitance. Stops at max|d| <= outer_tol.
+    one Resolvent. Stops at max|d| <= _OUTER_TOL.
 
     Newton's stopping rule leaves a uniform ~1e-13 error in u that int u
     weighs by the whole grid volume, so the converged iterate takes one
@@ -468,30 +479,27 @@ def _monotone_iteration(v: Potential, e: float, config: SolverConfig, grid: Radi
     k2_4e = grid.k**2 + 4.0 * e
     history = []
 
-    def solve(psi, multiplier, capacitance, what):
-        return require_converged(_preconditioned_cg(
-            grid, psi, v_vals, multiplier, capacitance, config.inner_tol, MAX_ITER),
-            f"Newton solve for {what} on step {it}", history)
+    def solve(resolvent, psi, multiplier, what):
+        return require_converged(resolvent.solve(psi, multiplier, INNER_TOL),
+                                 f"Newton solve for {what} on step {it}", history)
 
-    d = require_converged(apply_Ke(v.samples, e, v, tol=config.inner_tol),
-                          "K_e v solve").values
+    d = require_converged(apply_Ke(v.samples, e, v, tol=INNER_TOL), "K_e v solve").values
     u = np.zeros(grid.n)
     rho = _density(e, _constraint_integral(v, u, grid), history)
     monotone = True
-    for it in range(1, config.max_outer + 1):
+    for it in range(1, _MAX_OUTER + 1):
         if it > 1:
-            u_hat = fourier_radial(RadialField(grid, u, POSITION)).values
-            conv = inverse_fourier_radial(RadialField(grid, u_hat * u_hat, FREQUENCY)).values
-            lap4e = inverse_fourier_radial(RadialField(grid, k2_4e * u_hat, FREQUENCY)).values
+            u_hat, conv, lap4e = _spectral_terms(RadialField(grid, u, POSITION), e)
+            conv = conv.values
             multiplier = k2_4e - 4.0 * e * rho * u_hat
             if not np.all(multiplier > 0.0):
                 raise ConvergenceError(
                     f"Newton multiplier k^2 + 4e(1 - rho uhat) reached "
                     f"{np.min(multiplier):.3e} on step {it}", history=history)
-            capacitance = Capacitance(grid, multiplier, v_vals)
-            a = solve(v_vals + 2.0 * e * rho * conv - lap4e - v_vals * u,
-                      multiplier, capacitance, "a")
-            b = solve(conv, multiplier, capacitance, "b")
+            resolvent = Resolvent(grid, v_vals, multiplier)
+            a = solve(resolvent, v_vals + 2.0 * e * rho * conv - lap4e.values - v_vals * u,
+                      multiplier, "a")
+            b = solve(resolvent, conv, multiplier, "b")
             denominator = 1.0 - rho**2 * _s_moment(v, v_vals * b, grid, 0)
             if not denominator > 0.0:
                 raise ConvergenceError(
@@ -507,7 +515,7 @@ def _monotone_iteration(v: Potential, e: float, config: SolverConfig, grid: Radi
         if rho_new < rho - 1e-9 * rho:
             monotone = False
         rho = rho_new
-        if delta <= config.outer_tol:
+        if delta <= _OUTER_TOL:
             try:
                 u, _ = _kspace_map(v, e, grid)(u, history)
             except (ConvergenceError, InvariantViolation) as exc:
@@ -515,8 +523,8 @@ def _monotone_iteration(v: Potential, e: float, config: SolverConfig, grid: Radi
                               "keeping the Newton iterate", QualityWarning, stacklevel=3)
             return u, rho, it, monotone, history
     raise ConvergenceError(
-        f"monotone Newton did not reach {config.outer_tol} in "
-        f"{config.max_outer} iterations (last delta {history[-1]:.3e})",
+        f"monotone Newton did not reach {_OUTER_TOL} in "
+        f"{_MAX_OUTER} iterations (last delta {history[-1]:.3e})",
         history=history,
     )
 
@@ -529,8 +537,8 @@ def _solve(v: Potential, e: float, config: SolverConfig, grid: RadialGrid,
     monotone construction ran, ``gap`` when no cross-validation did.
     """
     if config.scheme == CROSS_VALIDATED:
-        u_f, rho_f, it_f, _ = _fourier_iteration(v, e, config, grid, u0)
-        u_m, _, it_m, monotone, _ = _monotone_iteration(v, e, config, grid)
+        u_f, rho_f, it_f, _ = _fourier_iteration(v, e, grid, u0)
+        u_m, _, it_m, monotone, _ = _monotone_iteration(v, e, grid)
         gap = float(np.max(np.abs(u_f - u_m)))
         if gap > 1e-6:
             raise InvariantViolation(
@@ -540,7 +548,7 @@ def _solve(v: Potential, e: float, config: SolverConfig, grid: RadialGrid,
     scheme_used = MONOTONE
     if config.scheme == FOURIER:
         try:
-            u, rho, it, _ = _fourier_iteration(v, e, config, grid, u0)
+            u, rho, it, _ = _fourier_iteration(v, e, grid, u0)
             return u, rho, it, FOURIER, None, None
         except ConvergenceError:
             warnings.warn(
@@ -548,7 +556,7 @@ def _solve(v: Potential, e: float, config: SolverConfig, grid: RadialGrid,
                 QualityWarning, stacklevel=3,
             )
             scheme_used = MONOTONE + "(fallback)"
-    u, rho, it, monotone, _ = _monotone_iteration(v, e, config, grid)
+    u, rho, it, monotone, _ = _monotone_iteration(v, e, grid)
     return u, rho, it, scheme_used, monotone, None
 
 
@@ -556,8 +564,6 @@ def _build_state(v: Potential, e: float, config: SolverConfig, grid: RadialGrid,
                  u_values: np.ndarray, rho: float, iterations: int, scheme_used: str,
                  monotone: bool | None, gap: float | None) -> SolutionState:
     u = RadialField(grid, u_values, POSITION)
-    u_hat_plain = fourier_radial(u)
-    rho_u_hat = RadialField(grid, np.clip(rho * u_hat_plain.values, 0.0, 1.0), FREQUENCY)
     s_vals = np.maximum((1.0 - u_values) * v.samples.values, 0.0)
     S = RadialField(grid, s_vals, POSITION)
     S_hat = fourier_radial(S)
@@ -572,12 +578,9 @@ def _build_state(v: Potential, e: float, config: SolverConfig, grid: RadialGrid,
     integral_u = corrected_field_integral(u_values, grid, tail)
     tail_mass = rho * tail.tail_integral(grid.r_max)
 
+    u_hat, conv, lap4e = _spectral_terms(u, e)
+    rho_u_hat = RadialField(grid, np.clip(rho * u_hat, 0.0, 1.0), FREQUENCY)
     # PDE residual with the Laplacian applied spectrally
-    conv = inverse_fourier_radial(
-        RadialField(grid, u_hat_plain.values * u_hat_plain.values, FREQUENCY))
-    lap4e = inverse_fourier_radial(
-        RadialField(grid, (grid.k**2 + 4.0 * e) * u_hat_plain.values, FREQUENCY)
-    )
     resid = (lap4e.values + v.samples.values * u_values
              - v.samples.values - 2.0 * e * rho * conv.values)
     pde_residual = float(np.sqrt(grid.integrate(resid**2))

@@ -23,7 +23,7 @@ from bosegas import (CROSS_VALIDATED, ExplicitSolutionSpec, SolverConfig,
                      solve_fixed_e, sweep, symmetry_check, tabulated_potential,
                      tan_constant, u_prime, u_prime_integral)
 from bosegas.observables import random_nonneg_fields
-from bosegas.operators import frakKe_l2_bound
+from bosegas.operators import INNER_TOL, frakKe_l2_bound
 
 GAUSS = dict(amplitude=1.0, width=1.0)
 EXPLICIT = dict(b=1.0, c=0.5, e=1.0)
@@ -313,7 +313,7 @@ def test_criterion_11_operator_audit(explicit_state, decay_state, lhy_states,
         if symmetry_check(st.potential.samples, st.u, st.context) > 1e-6:
             problems.append(f"{name}: symmetry")
         for psi in random_nonneg_fields(st.grid, count=10):
-            out, rep = apply_frakKe(psi, st.context, tol=st.config.inner_tol)
+            out, rep = apply_frakKe(psi, st.context, tol=INNER_TOL)
             if not rep.converged or \
                out.norm_l2() > frakKe_l2_bound(st.e) * psi.integral():
                 problems.append(f"{name}: fK_e L1->L2 bound")

@@ -97,6 +97,17 @@ class TestRunModes:
         assert code == 4
         assert "increase r_max" in capsys.readouterr().err
 
+    def test_bracket_violation_exits_4_without_grid_hint(self, tmp_path, capsys):
+        # rho = 5.14e-3 against 4e/||v||_1 = 3.59e-3 on this grid and on finer
+        # ones, so the message must not send the user to refine the grid
+        code = main(["--mode", "solve", "--potential", "gaussian", "--amp", "10",
+                     "--width", "1", "--e", "0.05", "--grid-n", "4095",
+                     "--r-max", "100", "--out", str(tmp_path / "strong")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "con4B_high" in err
+        assert "increase r_max" not in err
+
     def test_config_error_exits_2(self, capsys):
         assert main(["--mode", "solve"]) == 2
         assert "config error" in capsys.readouterr().err

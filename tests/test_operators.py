@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from bosegas import (InvariantViolation, FREQUENCY, POSITION, RadialField,
+from bosegas import (GridMismatchError, InvariantViolation, FREQUENCY, POSITION, RadialField,
                      apply_frakKe, apply_Ge, apply_Ke, apply_Ye, evaluate,
                      fourier_radial, gaussian_potential, inverse_fourier_radial,
                      make_grid, symmetry_check, xi_flatness)
 from bosegas import operators
-from bosegas.operators import (Capacitance, LinearSolveReport, OperatorContext,
-                               _preconditioned_cg, _SUPPORT_MAX, frakKe_l2_bound)
+from bosegas.operators import (INNER_TOL, LinearSolveReport, OperatorContext, Resolvent,
+                               _SUPPORT_MAX, frakKe_l2_bound)
 from bosegas.solver import SolverConfig, solve_fixed_e
 
 from conftest import gaussian_bumps
@@ -74,7 +74,7 @@ def reference_cg(psi, v_values, multiplier, tol, support=()):
 
 def kM_only_cg(grid, psi, v_values, multiplier, tol, max_iter):
     """The raw kernel preconditioned by kM^-1 alone, two DST-I per iteration:
-    what _preconditioned_cg must still compute, bit for bit, when m = 0."""
+    what Resolvent.solve must still compute, bit for bit, when m = 0."""
     res_y = grid.r * psi
     psi_sq = float(np.dot(res_y, res_y))
     q = 1.0 / (2.0 * (grid.n + 1) * multiplier)
@@ -105,8 +105,8 @@ def wide_context(state_gauss):
     (465 nodes) exceeds _SUPPORT_MAX: the kernel runs uncorrected."""
     g = state_gauss.grid
     ctx = OperatorContext(e=state_gauss.e, v=gaussian_potential(1.0, 2.0, g),
-                          rho_u_hat=state_gauss.u_hat, grid=g)
-    assert ctx.capacitance.support.size == 0
+                          rho_u_hat=state_gauss.u_hat)
+    assert ctx.resolvent.support.size == 0
     return ctx
 
 
@@ -169,9 +169,8 @@ class TestKe:
         # p.Ap = 0; the kernel reports a stall instead of dividing by it
         g = make_grid(4095, 4e-148)
         multiplier = g.k**2 + 4e300
-        out, report = _preconditioned_cg(g, np.ones(g.n), np.ones(g.n), multiplier,
-                                         Capacitance(g, multiplier, np.ones(g.n)),
-                                         1e-10, 100)
+        out, report = Resolvent(g, np.ones(g.n), multiplier).solve(np.ones(g.n), multiplier,
+                                                                   1e-10)
         assert not report.converged
         assert np.all(np.isfinite(out))
 
@@ -196,7 +195,14 @@ class TestContext:
     def test_rejects_rho_u_hat_above_one(self, gauss_small, grid_small):
         bad = RadialField(grid_small, np.full(grid_small.n, 1.5), FREQUENCY)
         with pytest.raises(InvariantViolation):
-            OperatorContext(e=1.0, v=gauss_small, rho_u_hat=bad, grid=grid_small)
+            OperatorContext(e=1.0, v=gauss_small, rho_u_hat=bad)
+
+    def test_rejects_v_on_another_grid(self, state_gauss):
+        # v sampled out to r_max = 50 against a rho uhat on the state's grid
+        g = state_gauss.grid
+        v = gaussian_potential(1.0, 1.0, make_grid(g.n, g.r_max / 2.0))
+        with pytest.raises(GridMismatchError):
+            OperatorContext(e=state_gauss.e, v=v, rho_u_hat=state_gauss.u_hat)
 
     def test_multiplier_floor(self, state_gauss):
         m = state_gauss.context.multiplier()
@@ -259,8 +265,7 @@ class TestYe:
 class TestFrakKe:
     def test_free_case_equals_Ye(self, state_gauss, grid_small):
         v0 = gaussian_potential(1e-300, 1.0, state_gauss.grid)
-        ctx = OperatorContext(e=state_gauss.e, v=v0,
-                              rho_u_hat=state_gauss.u_hat, grid=state_gauss.grid)
+        ctx = OperatorContext(e=state_gauss.e, v=v0, rho_u_hat=state_gauss.u_hat)
         psi = RadialField(state_gauss.grid,
                           np.exp(-state_gauss.grid.r**2), POSITION)
         out, report = apply_frakKe(psi, ctx)
@@ -283,27 +288,26 @@ class TestFrakKe:
         # the raw r*w kernel is the field-level iteration in other variables,
         # with its capacitance matrix read from one kM^-1 column, not spike transforms
         g = state_gauss.grid
-        tol = state_gauss.config.inner_tol
+        tol = INNER_TOL
         v_values = state_gauss.potential.samples.values
         support = np.flatnonzero(v_values > 1e-14 * np.max(v_values))
         assert 0 < support.size <= _SUPPORT_MAX
-        np.testing.assert_array_equal(state_gauss.context.capacitance.support, support)
+        np.testing.assert_array_equal(state_gauss.context.resolvent.support, support)
         for ctx, nodes in ((state_gauss.context, support), (wide_context, ())):
             v_values = ctx.v.samples.values
             for psi in (state_gauss.potential.samples, state_gauss.u,
                         RadialField(g, np.exp(-(g.r - 1.0) ** 2), POSITION)):
-                w, report = _preconditioned_cg(g, psi.values, v_values, ctx.multiplier(),
-                                               ctx.capacitance, tol, 1000)
+                w, report = ctx.resolvent.solve(psi.values, ctx.multiplier(), tol)
                 ref, iterations = reference_cg(psi, v_values, ctx.multiplier(), tol, nodes)
                 assert report.iterations == iterations
                 assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_true_residual_at_default_inner_tol(self, state_gauss):
-        # the recurrence reports far below inner_tol; the recomputed residual
+        # the recurrence reports far below INNER_TOL; the recomputed residual
         # floors above it (~2e-12 on this n=8191 grid, higher at larger n),
-        # which SolverConfig.inner_tol documents
+        # which operators.INNER_TOL documents
         ctx = state_gauss.context
-        out, report = apply_frakKe(state_gauss.u, ctx, tol=SolverConfig().inner_tol)
+        out, report = apply_frakKe(state_gauss.u, ctx, tol=INNER_TOL)
         assert report.converged
         assert forward_residual(out, state_gauss.u, ctx.multiplier(),
                                 ctx.v.samples.values) <= 1e-11
@@ -312,8 +316,7 @@ class TestFrakKe:
         # fK_e v at the production tolerance took 6 CG iterations with the
         # kM^-1 preconditioner; v on 232 nodes is inverted exactly now
         _, report = apply_frakKe(state_gauss.potential.samples,
-                                 state_gauss.context,
-                                 tol=state_gauss.config.inner_tol)
+                                 state_gauss.context, tol=INNER_TOL)
         assert report.converged
         assert report.iterations <= 2
 
@@ -327,7 +330,7 @@ class TestFrakKe:
 
         monkeypatch.setattr(operators, "dst1", counted)
         for ctx, per_iteration in ((state_gauss.context, 4), (wide_context, 2)):
-            ctx.capacitance                 # built once, outside the count
+            ctx.resolvent                   # built once, outside the count
             calls[0] = 0
             _, report = apply_frakKe(state_gauss.u, ctx, tol=1e-12)
             assert report.converged
@@ -338,13 +341,11 @@ class TestFrakKe:
         g = state_gauss.grid
         multiplier = wide_context.multiplier()
         zero = np.zeros(g.n)
-        assert Capacitance(g, multiplier, zero).support.size == 0
-        for v_values, capacitance in ((zero, Capacitance(g, multiplier, zero)),
-                                      (wide_context.v.samples.values,
-                                       wide_context.capacitance)):
+        assert Resolvent(g, zero, multiplier).support.size == 0
+        for v_values, resolvent in ((zero, Resolvent(g, zero, multiplier)),
+                                    (wide_context.v.samples.values, wide_context.resolvent)):
             for psi in (state_gauss.potential.samples, state_gauss.u):
-                w, report = _preconditioned_cg(g, psi.values, v_values, multiplier,
-                                               capacitance, 1e-12, 1000)
+                w, report = resolvent.solve(psi.values, multiplier, 1e-12)
                 ref, ref_report = kM_only_cg(g, psi.values, v_values, multiplier,
                                              1e-12, 1000)
                 assert report == ref_report

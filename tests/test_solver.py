@@ -64,8 +64,6 @@ class TestSolveFixedE:
             SolverConfig(n=8)
         with pytest.raises(ConfigurationError):
             SolverConfig(scheme="newton")
-        with pytest.raises(ConfigurationError):
-            SolverConfig(outer_tol=1e-12, inner_tol=1e-12)
 
 
 class TestSchemes:
@@ -86,8 +84,8 @@ class TestSchemes:
         config = SolverConfig(n=2047, r_max=60.0)
         grid = config.grid_for(0.3)
         v = gauss_small.resampled(grid)
-        u_f, rho_f, _, _ = _fourier_iteration(v, 0.3, config, grid, None)
-        u_m, rho_m, _, mono, _ = _monotone_iteration(v, 0.3, config, grid)
+        u_f, rho_f, _, _ = _fourier_iteration(v, 0.3, grid, None)
+        u_m, rho_m, _, mono, _ = _monotone_iteration(v, 0.3, grid)
         assert mono
         assert abs(rho_f - rho_m) / rho_f < 5e-9
         assert np.max(np.abs(u_f - u_m)) < 1e-8
@@ -104,7 +102,7 @@ class TestSchemes:
 
     def test_stiff_explicit_case_converges_in_kspace(self, recwarn):
         # the plain fixed point stalls here; Anderson mixing converges
-        config = SolverConfig(n=8191, r_max=400.0, max_outer=120)
+        config = SolverConfig(n=8191, r_max=400.0)
         v = explicit_potential(ExplicitSolutionSpec(1.0, 0.5, 1.0),
                                config.grid_for(0.01))
         state = solve_fixed_e(v, 0.01, config)
@@ -118,7 +116,6 @@ class TestSchemes:
 class TestMonotoneNewton:
     def test_iterates_increase_below_kspace_solution(self, gauss_small, monkeypatch):
         # every iterate's rho goes through the constraint integral
-        config = SolverConfig(n=2047, r_max=60.0)
         grid = gauss_small.grid
         iterates = []
         inner = solver._constraint_integral
@@ -127,9 +124,9 @@ class TestMonotoneNewton:
             iterates.append(u_values.copy())
             return inner(v, u_values, grid)
 
-        u_f, _, _, _ = _fourier_iteration(gauss_small, 0.3, config, grid, None)
+        u_f, _, _, _ = _fourier_iteration(gauss_small, 0.3, grid, None)
         monkeypatch.setattr(solver, "_constraint_integral", recording)
-        _, _, iterations, monotone, _ = _monotone_iteration(gauss_small, 0.3, config, grid)
+        _, _, iterations, monotone, _ = _monotone_iteration(gauss_small, 0.3, grid)
         assert monotone
         assert len(iterates) == iterations + 1
         assert not np.any(iterates[0])                  # u_0 = 0
@@ -139,17 +136,15 @@ class TestMonotoneNewton:
 
     def test_step_count(self, gauss_small):
         # the Picard construction took more than 100 steps here
-        config = SolverConfig(n=2047, r_max=60.0)
         _, _, iterations, _, history = _monotone_iteration(
-            gauss_small, 0.3, config, gauss_small.grid)
+            gauss_small, 0.3, gauss_small.grid)
         assert iterations <= 12
-        assert history[-1] <= config.outer_tol
+        assert history[-1] <= solver._OUTER_TOL
 
     def test_newton_solves_build_no_fields(self, gauss_small, monkeypatch):
         # the Newton solves pass raw arrays, so no solve builds a RadialField;
-        # a width-2 Gaussian (387 nodes, over the capacitance budget) keeps
-        # the iteration counts apart
-        v = gaussian_potential(1.0, 2.0, gauss_small.grid)
+        # width-2 and width-3 Gaussians (387 and 581 nodes, over the
+        # capacitance budget) keep the iteration counts apart
         post_init = RadialField.__post_init__
         inits = [0]
 
@@ -157,7 +152,7 @@ class TestMonotoneNewton:
             inits[0] += 1
             post_init(field)
 
-        cg = solver._preconditioned_cg
+        cg = operators.Resolvent.solve
         solves = []
 
         def recorded(*args):
@@ -166,17 +161,16 @@ class TestMonotoneNewton:
             solves.append((report.iterations, inits[0] - before))
             return w, report
 
+        potentials = [gaussian_potential(1.0, width, gauss_small.grid) for width in (2.0, 3.0)]
         monkeypatch.setattr(RadialField, "__post_init__", counted)
-        monkeypatch.setattr(solver, "_preconditioned_cg", recorded)
-        for inner_tol in (1e-12, 1e-8):
-            config = SolverConfig(n=2047, r_max=60.0, inner_tol=inner_tol, outer_tol=1e-6)
-            _monotone_iteration(v, 0.3, config, v.grid)
+        monkeypatch.setattr(operators.Resolvent, "solve", recorded)
+        for v in potentials:
+            _monotone_iteration(v, 0.3, v.grid)
         assert len({iterations for iterations, _ in solves}) > 1
         assert {fields for _, fields in solves} == {0}
 
     def test_failed_tail_step_keeps_newton_iterate(self, gauss_small, monkeypatch):
         # a converged Newton solve never turns into an error at its last step
-        config = SolverConfig(n=2047, r_max=60.0)
         iterates = []
         inner = solver._constraint_integral
 
@@ -189,31 +183,30 @@ class TestMonotoneNewton:
                 raise InvariantViolation("radicand went negative")
             return step
 
-        _, rho_polished, *_ = _monotone_iteration(gauss_small, 0.3, config, gauss_small.grid)
+        _, rho_polished, *_ = _monotone_iteration(gauss_small, 0.3, gauss_small.grid)
         monkeypatch.setattr(solver, "_constraint_integral", recording)
         monkeypatch.setattr(solver, "_kspace_map", failing_map)
         with pytest.warns(QualityWarning, match="keeping the Newton iterate"):
-            u, rho, _, _, history = _monotone_iteration(gauss_small, 0.3, config,
-                                                        gauss_small.grid)
+            u, rho, _, _, history = _monotone_iteration(gauss_small, 0.3, gauss_small.grid)
         np.testing.assert_array_equal(u, iterates[-1])
         assert rho == rho_polished
-        assert history[-1] <= config.outer_tol
+        assert history[-1] <= solver._OUTER_TOL
 
     def test_strong_newton_takes_few_cg_iterations(self, monkeypatch):
         # 88 CG iterations per solve under the kM^-1 preconditioner; v on 155
         # nodes is now inverted exactly, whatever its amplitude
-        cg, iterations = solver._preconditioned_cg, []
+        cg, iterations = operators.Resolvent.solve, []
 
         def recorded(*args):
             w, report = cg(*args)
             iterations.append(report.iterations)
             return w, report
 
-        monkeypatch.setattr(solver, "_preconditioned_cg", recorded)
+        monkeypatch.setattr(operators.Resolvent, "solve", recorded)
         config = SolverConfig(n=16383, r_max=600.0, scheme=MONOTONE)
         grid = config.grid_for(0.01)
         _, rho, _, monotone, _ = _monotone_iteration(
-            gaussian_potential(1e4, 1.0, grid), 0.01, config, grid)
+            gaussian_potential(1e4, 1.0, grid), 0.01, grid)
         assert monotone
         assert np.mean(iterations) <= 3.0
         assert rho == pytest.approx(3.8902908552506174e-04, rel=1e-12)
@@ -244,9 +237,9 @@ class TestMonotoneNewton:
         grid = config.grid_for(0.01)
         v = gaussian_potential(100.0, 1.0, grid)
         with pytest.raises(ConvergenceError, match="stalled") as info:
-            _fourier_iteration(v, 0.01, config, grid, None)
+            _fourier_iteration(v, 0.01, grid, None)
         history = info.value.history
-        assert len(history) < config.max_outer
+        assert len(history) < solver._MAX_OUTER
         assert np.argmin(history) < len(history) - solver._STALL_WINDOW
         with pytest.warns(QualityWarning, match="falling back"):
             state = solve_fixed_e(v, 0.01, config)
@@ -256,11 +249,10 @@ class TestMonotoneNewton:
 class TestAndersonIteration:
     def test_cold_iteration_count(self, gauss_small):
         # 13 iterations under the damped fixed point, 6 with Anderson mixing
-        config = SolverConfig(n=2047, r_max=60.0)
         _, _, iterations, history = _fourier_iteration(
-            gauss_small, 0.3, config, gauss_small.grid, None)
+            gauss_small, 0.3, gauss_small.grid, None)
         assert iterations <= 8
-        assert history[-1] <= config.outer_tol
+        assert history[-1] <= solver._OUTER_TOL
 
     def test_warm_fd_resolve_count(self, gauss_small, monkeypatch):
         # 8 k-space steps per warm re-solve under the damped fixed point, 5
@@ -297,13 +289,13 @@ class TestAndersonIteration:
             return inner(x)
 
         monkeypatch.setattr(solver, "dst1", recording)
-        u, rho, iterations, history = _fourier_iteration(v, 0.01, config, grid, None)
+        u, rho, iterations, history = _fourier_iteration(v, 0.01, grid, None)
         forward = clamped[::2]           # r*S; the odd calls carry k*uhat
         assert len(forward) == iterations
         assert any(forward[2:])          # from iteration 3 on, u is a mixed iterate
         assert np.all(np.isfinite(u)) and np.isfinite(rho)
         assert np.all(np.isfinite(history))
-        assert iterations < config.max_outer
+        assert iterations < solver._MAX_OUTER
 
     def test_non_finite_iterate_is_a_convergence_error(self, gauss_small, monkeypatch):
         # a NaN from the inverse transform of step 2 reaches max|G(u) - u|
@@ -320,7 +312,7 @@ class TestAndersonIteration:
 
         monkeypatch.setattr(solver, "dst1", poisoned)
         with pytest.raises(ConvergenceError, match="not finite") as info:
-            _fourier_iteration(gauss_small, 0.3, config, gauss_small.grid, None)
+            _fourier_iteration(gauss_small, 0.3, gauss_small.grid, None)
         assert len(info.value.history) == 2 and np.isnan(info.value.history[-1])
         calls[0] = 0
         with pytest.warns(QualityWarning, match="falling back"):
