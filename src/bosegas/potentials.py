@@ -17,7 +17,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from .errors import ConfigurationError, ConvergenceError
-from .grids import POSITION, RadialField, RadialGrid
+from .grids import POSITION, RadialField, RadialGrid, fast_grid_size
 
 EXPLICIT_CONDITION = 7.0 / 9.0
 # Sharper admissibility constant for the closed-form potential; numerator
@@ -293,48 +293,79 @@ def _log_derivative_radius(v: Potential) -> float:
     return 25.0 * v.range_hint
 
 
-def _integrate_scattering(v: Potential, r_end: float, n_steps: int):
-    """RK4 on w'' = v w from the origin; returns trailing (r, a(r)) samples
-    with a(r) = r - w/w'."""
+_BLOCK = 8192  # RK4 steps per block of transfer matrices; bounds transient memory
+
+
+def _chain(m):
+    """Product m[..., k-1] @ ... @ m[..., 0] of a (2, 2, k) stack, by pairs."""
+    while m.shape[-1] > 1:
+        k = m.shape[-1] // 2 * 2
+        a, b = m[..., 1:k:2], m[..., 0:k:2]   # later, earlier
+        m = np.concatenate((a[:, :1] * b[:1] + a[:, 1:] * b[1:], m[..., k:]), axis=-1)
+    return m[..., 0]
+
+
+def _integrate_scattering(v: Potential, r_end: float, n_steps: int,
+                          stops: tuple[int, ...]) -> list[float]:
+    """RK4 on w'' = v w, w(0) = 0, in steps of r_end/n_steps; returns
+    a(r) = r - w/w' after each (ascending) step count in ``stops``.
+
+    y = (w, w') obeys a linear ODE, so a step is y -> M_i y, with M_i the
+    four RK4 stages applied to both basis vectors. Blocks of up to _BLOCK
+    matrices, each ending at or before a stop, are multiplied pairwise."""
     h = r_end / n_steps
-    r = np.linspace(0.0, r_end, n_steps + 1)
-    vv = np.asarray(v.profile(r), dtype=float)
-    if not np.isfinite(vv[0]):
-        vv[0] = vv[1]  # r^-2 origin singularity: integrable, start one step in
-    w, wp = 0.0, 1.0
     half = 0.5 * h
-    v_half = np.asarray(v.profile(r[:-1] + half), dtype=float)
-    for i in range(n_steps):
-        v0, vh, v1 = vv[i], v_half[i], vv[i + 1]
-        k1w, k1p = wp, v0 * w
-        k2w, k2p = wp + half * k1p, vh * (w + half * k1w)
-        k3w, k3p = wp + half * k2p, vh * (w + half * k2w)
-        k4w, k4p = wp + h * k3p, v1 * (w + h * k3w)
-        w += h / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w)
-        wp += h / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        if not (np.isfinite(w) and np.isfinite(wp)):
-            raise ConvergenceError(
-                f"scattering ODE overflowed at r = {r[i + 1]:.3g} "
-                f"(h = {h:.3g}); the potential may be too singular for this step"
-            )
-    return r_end - w / wp
+    w, wp = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+    y, i0, out = np.array([0.0, 1.0]), 0, []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for stop in stops:
+            while i0 < stop:
+                i1 = min(i0 + _BLOCK, stop)
+                r = np.arange(i0, i1 + 1) * h
+                vv = np.asarray(v.profile(r), dtype=float)
+                if i0 == 0 and not np.isfinite(vv[0]):
+                    vv[0] = vv[1]  # r^-2 origin singularity: integrable, start one step in
+                v0, vh, v1 = vv[:-1], np.asarray(v.profile(r[:-1] + half), dtype=float), vv[1:]
+                k1w, k1p = wp, v0 * w
+                k2w, k2p = wp + half * k1p, vh * (w + half * k1w)
+                k3w, k3p = wp + half * k2p, vh * (w + half * k2w)
+                k4w, k4p = wp + h * k3p, v1 * (w + h * k3w)
+                m = np.stack((w + h / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w),
+                              wp + h / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)))
+                y_next = _chain(m) @ y
+                if not np.isfinite(y_next).all():
+                    # step through to name the radius; goes on if only the
+                    # product overflowed (inf * 0 against w(0) = 0)
+                    y_next = y
+                    for i in range(i1 - i0):
+                        y_next = m[..., i] @ y_next
+                        if not np.isfinite(y_next).all():
+                            raise ConvergenceError(
+                                f"scattering ODE overflowed at r = {r[i + 1]:.3g} "
+                                f"(h = {h:.3g}); the potential may be too singular for this step"
+                            )
+                y, i0 = y_next, i1
+            out.append(r_end * (stop / n_steps) - y[0] / y[1])
+    return out
 
 
 def _a0_at_resolution(v: Potential, r_end: float, n_steps: int) -> float:
     if v.tail_power is None:
-        return _integrate_scattering(v, r_end, n_steps)
-    # a(r) converges like r^(3 - tail_power); extrapolate from two radii
-    p = v.tail_power - 3.0
-    a1 = _integrate_scattering(v, r_end / 2.0, n_steps // 2)
-    a2 = _integrate_scattering(v, r_end, n_steps)
-    return float(a2 + (a2 - a1) / (2.0**p - 1.0))
+        return _integrate_scattering(v, r_end, n_steps, (n_steps,))[0]
+    # a(r) converges like r^(3 - tail_power); extrapolate from two radii of
+    # one sweep, r_end/2 (half a step short of it for odd n_steps) and r_end
+    mid = n_steps // 2
+    a1, a2 = _integrate_scattering(v, r_end, n_steps, (mid, n_steps))
+    return float(a2 + (a2 - a1) / ((n_steps / mid) ** (v.tail_power - 3.0) - 1.0))
 
 
 def scattering_length(v: Potential, rtol: float = 1e-9, r_end: float | None = None) -> float:
     """Scattering length by 4th-order integration of w'' = v w.
 
-    The step is refined (with Richardson acceleration) until doubling the
-    resolution moves the answer by less than ``rtol`` relatively.
+    Each resolution is one sweep of blocked RK4 transfer matrices. The step
+    is refined (with Richardson acceleration) until doubling the resolution
+    moves the answer by less than ``rtol`` relatively; for an algebraic
+    tail, a(r_end/2) and a(r_end) of the same sweep extrapolate r -> inf.
     """
     if r_end is None:
         r_end = _log_derivative_radius(v)
@@ -358,7 +389,7 @@ def scattering_length(v: Potential, rtol: float = 1e-9, r_end: float | None = No
 
 
 def scattering_identity_defect(v: Potential, e: float = 1e-9,
-                               n: int = 16384, r_max: float = 1500.0) -> float:
+                               n: int = fast_grid_size(16384), r_max: float = 1500.0) -> float:
     """Relative defect of int v phi = -4 pi a0 + int v with phi = K_e v, e -> 0+.
 
     Cross-validates the ODE route through the operator route. phi decays

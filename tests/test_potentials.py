@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from bosegas import (ConfigurationError, ExplicitSolutionSpec, QualityWarning,
-                     explicit_potential, gaussian_potential,
+from bosegas import (ConfigurationError, ConvergenceError, ExplicitSolutionSpec,
+                     QualityWarning, explicit_potential, gaussian_potential,
                      potential_from_file, scattering_identity_defect,
                      scattering_length, tabulated_potential)
-from bosegas.potentials import EXPLICIT_SHARP_CONDITION
+from bosegas.potentials import (_BLOCK, EXPLICIT_SHARP_CONDITION, Potential,
+                                _integrate_scattering, _log_derivative_radius)
 
 # Regression baseline for a0 of exp(-r^2), produced by the Numerov shooting
 # oracle below at three resolutions with Richardson extrapolation and
@@ -26,6 +27,36 @@ def numerov_a0(profile, n_steps, r_end):
                     - y[i - 1] * (1 - c * f[i - 1])) / (1 - c * f[i + 1])
     slope = (y[-1] - y[-2]) / h   # exact once v has died out: w is linear there
     return r_end - h / 2.0 - 0.5 * (y[-1] + y[-2]) / slope
+
+
+def rk4_a(profile, r_end, n_steps):
+    """RK4 on w'' = v w, w(0) = 0, one scalar step at a time; a(r_end) = r_end - w/w'."""
+    h = r_end / n_steps
+    half = 0.5 * h
+    r = np.linspace(0.0, r_end, n_steps + 1)
+    with np.errstate(divide="ignore"):
+        vv = np.asarray(profile(r), dtype=float)
+    if not np.isfinite(vv[0]):
+        vv[0] = vv[1]
+    vv, v_half = vv.tolist(), np.asarray(profile(r[:-1] + half), dtype=float).tolist()
+    w, wp = 0.0, 1.0
+    for i in range(n_steps):
+        v0, vh, v1 = vv[i], v_half[i], vv[i + 1]
+        k1w, k1p = wp, v0 * w
+        k2w, k2p = wp + half * k1p, vh * (w + half * k1w)
+        k3w, k3p = wp + half * k2p, vh * (w + half * k2w)
+        k4w, k4p = wp + h * k3p, v1 * (w + h * k3w)
+        w += h / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w)
+        wp += h / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
+    return r_end - w / wp
+
+
+def exp_table(grid):
+    return tabulated_potential([(r, np.exp(-r)) for r in np.linspace(0.0, 30.0, 301)], grid)
+
+
+# crosses a block boundary and is no multiple of the block
+N_OFF_BLOCK = _BLOCK + 4097
 
 
 class TestGaussian:
@@ -167,3 +198,45 @@ class TestScatteringLength:
         v = explicit_potential(ExplicitSolutionSpec(1.0, 0.5, 1.0), grid_small)
         a0 = scattering_length(v)
         assert 0.0 < a0 <= v.norms.v_l1 / (4 * np.pi)
+
+    # norms also integrates v^2, which diverges at c = 1
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_c_equal_one_a0(self, grid_small):
+        # the r^-2 origin is sampled as inf and replaced by v(h), silently
+        with pytest.warns(QualityWarning):
+            v = explicit_potential(ExplicitSolutionSpec(1.0, 1.0, 1.0), grid_small)
+        assert np.isfinite(v.a0)
+        assert 0.0 < v.a0 <= v.norms.v_l1 / (4 * np.pi)
+        assert v.a0 == pytest.approx(0.7676641697863623, abs=1e-9)
+
+    @pytest.mark.parametrize("make", [
+        lambda grid: gaussian_potential(1.0, 1.0, grid),
+        lambda grid: explicit_potential(ExplicitSolutionSpec(1.0, 0.5, 1.0), grid),
+        exp_table,
+    ], ids=["gaussian", "explicit", "table"])
+    def test_blocked_kernel_matches_scalar_steps(self, grid_small, make):
+        v = make(grid_small)
+        r_end = _log_derivative_radius(v)
+        (a,) = _integrate_scattering(v, r_end, N_OFF_BLOCK, (N_OFF_BLOCK,))
+        assert a == pytest.approx(rk4_a(v.profile, r_end, N_OFF_BLOCK), rel=1e-10)
+
+    def test_shared_sweep_reads_half_radius(self, grid_small):
+        v = explicit_potential(ExplicitSolutionSpec(1.0, 0.5, 1.0), grid_small)
+        n = 2 * N_OFF_BLOCK
+        a_half, _ = _integrate_scattering(v, 600.0, n, (n // 2, n))
+        (alone,) = _integrate_scattering(v, 300.0, n // 2, (n // 2,))
+        assert a_half == pytest.approx(alone, rel=1e-13)
+
+    def test_overflow_is_a_convergence_error(self, grid_small):
+        with pytest.raises(ConvergenceError, match=r"overflowed at r = 1\.03 \(h = 0\.00625\)"):
+            gaussian_potential(1e6, 1.0, grid_small).a0
+
+    def test_overflowed_product_of_finite_state_carries_on(self, grid_small):
+        # v(0) = 1e308 sends the w(0) = 1 column of the first block's product
+        # to inf; the state starts at w(0) = 0 and stays finite
+        def spike(r):
+            return np.where(np.asarray(r) < 1e-3, 1e308, 30.0 * np.exp(-np.asarray(r)))
+
+        v = Potential(name="spike", profile=spike, grid=grid_small)
+        (a,) = _integrate_scattering(v, 25.0, 4000, (4000,))
+        assert a == pytest.approx(rk4_a(spike, 25.0, 4000), rel=1e-10)
