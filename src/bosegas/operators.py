@@ -12,13 +12,13 @@ multiplier is 1/(k^2 + 4e(1 - rho*uhat(k))), bounded below by sqrt(8e)|k|.
 With v >= 0 both K_e^-1 and fK_e^-1 are self-adjoint and positive in the
 r^2 dr inner product, which is what conjugate gradients needs.
 
-K_e, fK_e and the Newton operator of the monotone scheme are all
-(kM + v)^-1 with kM diagonal in k (G_e^-1, Y_e^-1), solved by one
-Resolvent. Its preconditioner inverts kM + v exactly where v lives on at
-most _SUPPORT_MAX grid nodes (a capacitance-matrix correction to kM^-1), so
-such solves take one or two iterations whatever the strength of v; for a
-wider support it is kM^-1 alone. An OperatorContext builds its Resolvent
-once for all its fK_e solves.
+K_e and fK_e are (kM + v)^-1 with kM diagonal in k (G_e^-1, Y_e^-1), and
+the Newton operator of the monotone scheme is the same kM + v less a rank-one
+term; one Resolvent solves all three. Its preconditioner inverts kM + v
+exactly where v lives on at most _SUPPORT_MAX grid nodes (a
+capacitance-matrix correction to kM^-1), so such solves take one or two
+iterations whatever the strength of v; for a wider support it is kM^-1
+alone. An OperatorContext builds its Resolvent once for all its fK_e solves.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .errors import (ConfigurationError, ConvergenceError, GridMismatchError,
                      InvariantViolation)
@@ -46,13 +46,15 @@ MAX_ITER = 10_000        # CG iterations before a solve is reported unconverged
 POSITIVITY_SLACK = 1e-10
 _SUPPORT_RTOL = 1e-14    # v above this fraction of max v is on the preconditioner's support
 _SUPPORT_MAX = 256       # largest support treated exactly; a wider one gets no correction
+_KRYLOV_MAX = 40         # GMRES iterations (basis vectors) before a solve is unconverged
 
 
 @dataclass(frozen=True)
 class LinearSolveReport:
-    """One K_e/fK_e solve; ``final_residual`` is the relative forward residual
-    ||psi - A w|| / ||psi|| carried by the CG recurrence, not recomputed (see
-    INNER_TOL for its round-off floor)."""
+    """One K_e, fK_e or Newton solve; ``final_residual`` is the relative
+    forward residual ||psi - A w|| / ||psi|| carried by the CG recurrence or
+    GMRES's least-squares problem, not recomputed (see INNER_TOL for its
+    round-off floor)."""
 
     iterations: int
     final_residual: float
@@ -148,7 +150,9 @@ class Resolvent:
     """(kM + v)^-1 on raw arrays, kM diagonal in k with entries ``multiplier``,
     by conjugate gradients preconditioned with M^-1, M = kM + P D P^T on
     y = r*w, where P selects the m nodes where v > _SUPPORT_RTOL max v and
-    D = diag(v) there.
+    D = diag(v) there; and (kM + v - c g^T)^-1, a rank-one update of it, by
+    GMRES preconditioned with (M - c g^T)^-1 (``solve_rank_one``). Both
+    kernels apply M^-1 through ``_precondition``.
 
     As a matrix kM^-1 = dst1(dst1(.) q), q = 1/(2(n+1) multiplier) (DST-I
     twice is 2(n+1) times the identity), is Toeplitz minus Hankel,
@@ -192,6 +196,23 @@ class Resolvent:
         """q with kM^-1 y = dst1(dst1(y) q) on y = r*w."""
         return 1.0 / (2.0 * (self.grid.n + 1) * multiplier)
 
+    def _precondition(self, s: np.ndarray, q: np.ndarray, work: np.ndarray):
+        """(M^-1 s, s - P x) on y = r*w, x = D^1/2 C^-1 D^1/2 (kM^-1 s)_P, so
+        that kM M^-1 s = s - P x: two DST-I calls, or four and an m x m
+        triangular solve pair when corrected. ``s - P x`` is written into
+        ``work``, or is ``s`` itself when m = 0."""
+        z = dst1(s)
+        z *= q
+        z = dst1(z)
+        if not self.support.size:
+            return z, s
+        x = self.d_half * cho_solve(self.factor, self.d_half * z[self.support])
+        np.copyto(work, s)
+        work[self.support] -= x
+        z = dst1(work)
+        z *= q
+        return dst1(z), work
+
     def solve(self, psi: np.ndarray, multiplier: np.ndarray, tol: float):
         """Solve (kM + v) w = psi, kM with the ``multiplier`` this Resolvent
         was built with; returns (w values, LinearSolveReport).
@@ -214,23 +235,12 @@ class Resolvent:
         if psi_sq == 0.0:
             return np.zeros(grid.n), LinearSolveReport(0, 0.0, True)
         q = self._kM_inverse_scale(multiplier)
-        corrected = self.support.size > 0
         y, p, kMp, Ap = (np.zeros(grid.n) for _ in range(4))
-        kMz = np.empty(grid.n) if corrected else res_y    # r - P x
+        work = np.empty(grid.n)
         res = 1.0                  # ||r|| / ||psi|| at w = 0
         rz_prev = np.inf           # makes the first beta zero
         for it in range(1, MAX_ITER + 1):
-            z = dst1(res_y)
-            z *= q
-            z = dst1(z)
-            if corrected:
-                # kMz = s - P x, x = D^1/2 C^-1 D^1/2 z_P, from s = res_y and z = kM^-1 s
-                x = self.d_half * cho_solve(self.factor, self.d_half * z[self.support])
-                np.copyto(kMz, res_y)
-                kMz[self.support] -= x
-                z = dst1(kMz)
-                z *= q
-                z = dst1(z)
+            z, kMz = self._precondition(res_y, q, work)
             rz = float(np.dot(res_y, z))
             beta = rz / rz_prev
             p *= beta
@@ -250,6 +260,88 @@ class Resolvent:
                 return y / grid.r, LinearSolveReport(it, res, True)
             rz_prev = rz
         return y / grid.r, LinearSolveReport(MAX_ITER, res, False)
+
+    def solve_rank_one(self, psi: np.ndarray, multiplier: np.ndarray, c: np.ndarray,
+                       g: np.ndarray, tol: float):
+        """Solve (kM + v - c g^T) w = psi, g^T w the dot g.w, kM as in
+        ``solve``; returns (w values, LinearSolveReport, delta_M), or
+        (None, None, delta_M) without iterating when delta_M <= 0.
+
+        GMRES (Saad & Schultz 1986) on y = r*w, right-preconditioned by
+        P = M - c g^T, which Sherman-Morrison applies from b = M^-1 c:
+        P^-1 s = M^-1 s + b (g.M^-1 s) / delta_M, delta_M = 1 - g.b. With
+        E = diag(v) off the support, kM + v = M + E, so the preconditioned
+        operator is I + E P^-1: an iteration is one M^-1 (``_precondition``),
+        a diagonal product and a Gram-Schmidt pass, and the operator is I
+        itself when v lives on the support. The basis is kept as separate length-n vectors,
+        with the P^-1 of each, so w needs no last P^-1. Stops when the
+        least-squares residual ||psi - (kM + v - c g^T) w|| / ||psi|| reaches
+        ``tol``;
+        unconverged after _KRYLOV_MAX iterations or on a breakdown (a zero or
+        non-finite rotation).
+
+        With c, g >= 0, delta_M is at most delta = 1 - g.(kM + v)^-1 c, the
+        Sherman-Morrison denominator of the system itself: M <= kM + v, both
+        inverses preserve positivity, and M^-1 c - (kM + v)^-1 c =
+        M^-1 E (kM + v)^-1 c >= 0. So delta_M > 0 certifies delta > 0.
+        """
+        grid = self.grid
+        r = grid.r
+        res_y = r * psi
+        beta = float(np.sqrt(np.dot(res_y, res_y)))
+        q = self._kM_inverse_scale(multiplier)
+        work = np.empty(grid.n)
+        b, _ = self._precondition(r * c, q, work)
+        g_y = g / r
+        delta_M = 1.0 - float(np.dot(g_y, b))
+        if not delta_M > 0.0:
+            return None, None, delta_M
+        if beta == 0.0:
+            return np.zeros(grid.n), LinearSolveReport(0, 0.0, True), delta_M
+        hessenberg = np.zeros((_KRYLOV_MAX + 1, _KRYLOV_MAX))
+        cosines, sines = np.zeros(_KRYLOV_MAX), np.zeros(_KRYLOV_MAX)
+        rhs = np.zeros(_KRYLOV_MAX + 1)     # beta e_1 under the rotations so far
+        rhs[0] = beta
+        res_y /= beta
+        basis, images = [res_y], []         # v_j and P^-1 v_j
+
+        def iterate(k, res, converged):
+            coef = solve_triangular(hessenberg[:k, :k], rhs[:k])
+            y = np.zeros(grid.n)
+            for a, z in zip(coef, images):
+                y += a * z
+            return y / r, LinearSolveReport(k, res, converged), delta_M
+
+        res = 1.0
+        for j in range(_KRYLOV_MAX):
+            z, _ = self._precondition(basis[j], q, work)
+            z += b * (float(np.dot(g_y, z)) / delta_M)
+            images.append(z)
+            t = self.v_values * z
+            t[self.support] = 0.0               # E z
+            t += basis[j]
+            h = hessenberg[:, j]
+            for i, v_i in enumerate(basis):     # modified Gram-Schmidt
+                h[i] = np.dot(v_i, t)
+                t -= h[i] * v_i
+            h[j + 1] = np.sqrt(np.dot(t, t))
+            for i in range(j):                  # earlier rotations
+                h[i], h[i + 1] = (cosines[i] * h[i] + sines[i] * h[i + 1],
+                                  cosines[i] * h[i + 1] - sines[i] * h[i])
+            norm = float(np.hypot(h[j], h[j + 1]))
+            if not (norm > 0.0 and np.isfinite(norm)):     # breakdown
+                return np.zeros(grid.n), LinearSolveReport(j, res, False), delta_M
+            cosines[j], sines[j] = h[j] / norm, h[j + 1] / norm
+            next_norm = h[j + 1]
+            h[j], h[j + 1] = norm, 0.0
+            rhs[j + 1] = -sines[j] * rhs[j]
+            rhs[j] *= cosines[j]
+            res = abs(float(rhs[j + 1])) / beta
+            if res <= tol:
+                return iterate(j + 1, res, True)
+            t /= next_norm
+            basis.append(t)
+        return iterate(_KRYLOV_MAX, res, False)
 
 
 def require_converged(solved, what: str, history=None):

@@ -97,7 +97,7 @@ class Potential:
     def norms(self) -> PotentialNorms:
         return PotentialNorms(
             v_l1=self._radial_integral(0),
-            v_l2=self._radial_integral(0, 2.0) ** 0.5,
+            v_l2=self._radial_integral(0, 2.0) ** 0.5 if self.l2_finite else np.inf,
             x2v_l1=self._radial_integral(2),
             x4v_l1=self._radial_integral(4) if self.x4v_finite else np.inf,
         )

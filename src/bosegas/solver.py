@@ -12,8 +12,10 @@ Two schemes converge to the same discrete fixed point:
   y = (rho/2e) Shat(k), kappa = k/(2 sqrt(e)), S = (1-u) v.
 * ``real_space_monotone``: monotone Newton on the real-space residual
   R(u) = v + 2e rho u*u - (-Delta + v + 4e) u, rho = 2e / int (1-u) v, from
-  u_0 = 0. The first step is u_1 = K_e v; each later one costs two CG solves
-  with fK_e^-1 at the iterate. Iterates increase pointwise toward the solution.
+  u_0 = 0. The first step is u_1 = K_e v; each later one is one GMRES solve
+  with the Newton operator, fK_e^-1 at the iterate plus a rank-one term (two
+  CG solves where only they certify its denominator). Iterates increase
+  pointwise toward the solution.
 
 The k-space map u -> G(u) is iterated by type-II Anderson mixing of depth
 ``_ANDERSON_DEPTH``, restarted when max|G(u) - u| grows; its fixed point is
@@ -459,16 +461,41 @@ def _fourier_iteration(v: Potential, e: float, grid: RadialGrid, u0: np.ndarray 
     )
 
 
+def _moment_weights(v: Potential, grid: RadialGrid) -> np.ndarray:
+    """The vector g with g . s = _s_moment(v, s, grid, 0) for every s: the
+    trapezoid weights plus the tail restoration, which is linear in s through
+    its least-squares fit, (c1, c2) = pinv(B) s."""
+    weights = 4.0 * np.pi * grid.dr * grid.r * grid.r
+    if v.tail_power is None:
+        return weights
+    p = v.tail_power
+    sel = grid.r >= 0.5 * grid.r_max
+    r = grid.r[sel]
+    R = grid.r_max
+    tail = 4.0 * np.pi * np.array([R ** (3.0 - p) / (p - 3.0), R ** (1.0 - p) / (p - 1.0)])
+    # tail . pinv(B) s = (pinv(B)^T tail) . s, and pinv(B)^T = pinv(B^T)
+    basis = np.column_stack([r ** (-p), r ** (-p - 2.0)])
+    weights[sel] += np.linalg.lstsq(basis.T, tail, rcond=None)[0]
+    return weights
+
+
 def _monotone_iteration(v: Potential, e: float, grid: RadialGrid):
     """Monotone Newton (Ortega & Rheinboldt 1970, 13.3) on the real-space system
     from u_0 = 0; returns (u, rho, iterations, monotone, history).
 
     The residual R(u) = v + 2e rho u*u - (-Delta + v + 4e) u has the Newton
-    operator A - rho^2 (u*u) int v(.), A = -Delta + v + 4e(1 - C_{rho u}), so by
-    Sherman-Morrison a step solves A a = R and A b = u*u by CG and moves by
-    d = a + c b, c = rho^2 int v a / (1 - rho^2 int v b). At u_0 = 0, A = K_e^-1
-    and b = 0: the first step is u_1 = K_e v. The two solves of a step share
-    one Resolvent. Stops at max|d| <= _OUTER_TOL.
+    operator J = A - rho^2 (u*u) l, l(w) = int v w, A = -Delta + v +
+    4e(1 - C_{rho u}). At u_0 = 0, A = K_e^-1 and u*u = 0: the first step is
+    u_1 = K_e v. Each later step solves J d = R once, by ``Resolvent.solve_rank_one``
+    (GMRES preconditioned by M - rho^2 (u*u) l, M the Resolvent's
+    preconditioner of A), when its denominator delta_M = 1 - rho^2 l(M^-1 u*u)
+    is positive: delta_M is a lower bound on the Sherman-Morrison
+    denominator delta = 1 - rho^2 l(A^-1 u*u), so delta > 0 then holds.
+    Otherwise (a strong v whose support is too wide for M to treat it
+    exactly) the step solves A a = R and A b = u*u by CG and moves by
+    d = a + c b, c = rho^2 l(a) / delta, with a delta that is not positive a
+    ConvergenceError. l is the tail-restored ``_s_moment`` of v w, a dot with
+    fixed weights. Stops at max|d| <= _OUTER_TOL.
 
     Newton's stopping rule leaves a uniform ~1e-13 error in u that int u
     weighs by the whole grid volume, so the converged iterate takes one
@@ -477,11 +504,11 @@ def _monotone_iteration(v: Potential, e: float, grid: RadialGrid):
     """
     v_vals = v.samples.values
     k2_4e = grid.k**2 + 4.0 * e
+    ell = _moment_weights(v, grid) * v_vals
     history = []
 
-    def solve(resolvent, psi, multiplier, what):
-        return require_converged(resolvent.solve(psi, multiplier, INNER_TOL),
-                                 f"Newton solve for {what} on step {it}", history)
+    def solve(solved, what):
+        return require_converged(solved, f"Newton {what} on step {it}", history)
 
     d = require_converged(apply_Ke(v.samples, e, v, tol=INNER_TOL), "K_e v solve").values
     u = np.zeros(grid.n)
@@ -497,15 +524,20 @@ def _monotone_iteration(v: Potential, e: float, grid: RadialGrid):
                     f"Newton multiplier k^2 + 4e(1 - rho uhat) reached "
                     f"{np.min(multiplier):.3e} on step {it}", history=history)
             resolvent = Resolvent(grid, v_vals, multiplier)
-            a = solve(resolvent, v_vals + 2.0 * e * rho * conv - lap4e.values - v_vals * u,
-                      multiplier, "a")
-            b = solve(resolvent, conv, multiplier, "b")
-            denominator = 1.0 - rho**2 * _s_moment(v, v_vals * b, grid, 0)
-            if not denominator > 0.0:
-                raise ConvergenceError(
-                    f"Newton denominator 1 - rho^2 int v b = {denominator:.3e} is not "
-                    f"positive on step {it}", history=history)
-            d = a + rho**2 * _s_moment(v, v_vals * a, grid, 0) / denominator * b
+            residual = v_vals + 2.0 * e * rho * conv - lap4e.values - v_vals * u
+            d, report, _ = resolvent.solve_rank_one(residual, multiplier, conv,
+                                                    rho**2 * ell, INNER_TOL)
+            if report is not None:
+                d = solve((d, report), "GMRES solve")
+            else:
+                a = solve(resolvent.solve(residual, multiplier, INNER_TOL), "solve for a")
+                b = solve(resolvent.solve(conv, multiplier, INNER_TOL), "solve for b")
+                denominator = 1.0 - rho**2 * _s_moment(v, v_vals * b, grid, 0)
+                if not denominator > 0.0:
+                    raise ConvergenceError(
+                        f"Newton denominator 1 - rho^2 int v b = {denominator:.3e} is not "
+                        f"positive on step {it}", history=history)
+                d = a + rho**2 * _s_moment(v, v_vals * a, grid, 0) / denominator * b
         delta = float(np.max(np.abs(d)))
         history.append(delta)
         if np.min(d) < -1e-9:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bosegas import (ExplicitSolutionSpec, SolverConfig, explicit_potential,
-                     gaussian_potential, make_grid, solve_fixed_e)
+                     gaussian_potential, make_grid, solve_fixed_e, tabulated_potential)
 
 
 @pytest.fixture(scope="session")
@@ -46,3 +46,9 @@ def gaussian_bumps(grid, seed=0, count=1):
         width = rng.uniform(0.4, 2.5)
         fields.append(amp * np.exp(-((grid.r - center) / width) ** 2))
     return fields
+
+
+def exp_table(grid):
+    """The exp(-r) potential tabulated on [0, 30]: no algebraic tail, and a
+    support wider than the capacitance budget on fine grids."""
+    return tabulated_potential([(r, np.exp(-r)) for r in np.linspace(0.0, 30.0, 301)], grid)

@@ -173,6 +173,17 @@ class TestRunModes:
         assert code == 0
         assert "insufficient rows" in capsys.readouterr().err
 
+    def test_unbounded_explicit_sweep_exits_zero(self, tmp_path, capsys):
+        # the c = 1 closed form has ||v||_2 = inf; its regime label read a
+        # complex v_l2 and the sweep exited 1 with a traceback
+        code = main(["--mode", "sweep", "--potential", "explicit", "--b", "1",
+                     "--c", "1", "--v-e", "1", "--e-min", "0.9", "--e-max", "1",
+                     "--e-steps", "2", "--grid-n", "4095", "--r-max", "100",
+                     "--out", str(tmp_path / "c1")])
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert (tmp_path / "c1.csv").exists()
+
     def test_tabulated_potential_run(self, tmp_path):
         table = tmp_path / "v.dat"
         rows = [f"{r:.6f} {np.exp(-r):.10f}" for r in np.linspace(0, 20, 200)]

@@ -8,6 +8,8 @@ from bosegas import (ConfigurationError, ConvergenceError, ExplicitSolutionSpec,
 from bosegas.potentials import (_BLOCK, EXPLICIT_SHARP_CONDITION, Potential,
                                 _integrate_scattering, _log_derivative_radius)
 
+from conftest import exp_table
+
 # Regression baseline for a0 of exp(-r^2), produced by the Numerov shooting
 # oracle below at three resolutions with Richardson extrapolation and
 # cross-checked against an adaptive LSODA integration (both 0.328721131068).
@@ -49,10 +51,6 @@ def rk4_a(profile, r_end, n_steps):
         w += h / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w)
         wp += h / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
     return r_end - w / wp
-
-
-def exp_table(grid):
-    return tabulated_potential([(r, np.exp(-r)) for r in np.linspace(0.0, 30.0, 301)], grid)
 
 
 # crosses a block boundary and is no multiple of the block
@@ -199,8 +197,18 @@ class TestScatteringLength:
         a0 = scattering_length(v)
         assert 0.0 < a0 <= v.norms.v_l1 / (4 * np.pi)
 
-    # norms also integrates v^2, which diverges at c = 1
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_c_equal_one_l2_norm_is_infinite(self, grid_small):
+        # quad integrated the divergent 4 pi r^2 v^2 to a negative number,
+        # whose square root made v_l2 complex and e_large a TypeError
+        with pytest.warns(QualityWarning):
+            v = explicit_potential(ExplicitSolutionSpec(1.0, 1.0, 1.0), grid_small)
+        assert not v.l2_finite
+        assert v.norms.v_l2 == np.inf
+        assert v.e_large == np.inf
+        bounded = explicit_potential(ExplicitSolutionSpec(1.0, 0.5, 1.0), grid_small)
+        assert bounded.l2_finite
+        assert 0.0 < bounded.norms.v_l2 < np.inf
+
     def test_c_equal_one_a0(self, grid_small):
         # the r^-2 origin is sampled as inf and replaced by v(h), silently
         with pytest.warns(QualityWarning):

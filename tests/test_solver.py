@@ -10,11 +10,37 @@ from bosegas import (ConfigurationError, CROSS_VALIDATED, FOURIER, MONOTONE,
                      rho_prime_fd, solve_fixed_e, solve_fixed_rho, sweep,
                      u_prime, u_prime_integral)
 from bosegas import grids, operators, solver
-from bosegas.grids import RadialField, fast_grid_size, make_grid
+from bosegas.grids import POSITION, RadialField, fast_grid_size, make_grid
+from bosegas.operators import INNER_TOL
 from bosegas.potentials import QualityWarning
 from bosegas.errors import ConvergenceError
 from bosegas.solver import (_fourier_iteration, _grid_images, _image_sum,
                             _monotone_iteration)
+
+from conftest import exp_table
+
+
+def record_newton_solves(monkeypatch):
+    """Wrap both Newton kernels, ``Resolvent.solve`` (CG: the K_e v solve and
+    the fallback steps) and ``Resolvent.solve_rank_one`` (GMRES: every other
+    step); returns the list they fill with (iterations, RadialFields built)
+    per solve that ran."""
+    post_init, inits, solves = RadialField.__post_init__, [0], []
+
+    def counted(field):
+        inits[0] += 1
+        post_init(field)
+
+    monkeypatch.setattr(RadialField, "__post_init__", counted)
+    for name in ("solve", "solve_rank_one"):
+        def recorded(*args, kernel=getattr(operators.Resolvent, name)):
+            before = inits[0]
+            out = kernel(*args)
+            if out[1] is not None:
+                solves.append((out[1].iterations, inits[0] - before))
+            return out
+        monkeypatch.setattr(operators.Resolvent, name, recorded)
+    return solves
 
 
 class TestSolveFixedE:
@@ -145,25 +171,8 @@ class TestMonotoneNewton:
         # the Newton solves pass raw arrays, so no solve builds a RadialField;
         # width-2 and width-3 Gaussians (387 and 581 nodes, over the
         # capacitance budget) keep the iteration counts apart
-        post_init = RadialField.__post_init__
-        inits = [0]
-
-        def counted(field):
-            inits[0] += 1
-            post_init(field)
-
-        cg = operators.Resolvent.solve
-        solves = []
-
-        def recorded(*args):
-            before = inits[0]
-            w, report = cg(*args)
-            solves.append((report.iterations, inits[0] - before))
-            return w, report
-
         potentials = [gaussian_potential(1.0, width, gauss_small.grid) for width in (2.0, 3.0)]
-        monkeypatch.setattr(RadialField, "__post_init__", counted)
-        monkeypatch.setattr(operators.Resolvent, "solve", recorded)
+        solves = record_newton_solves(monkeypatch)
         for v in potentials:
             _monotone_iteration(v, 0.3, v.grid)
         assert len({iterations for iterations, _ in solves}) > 1
@@ -195,20 +204,13 @@ class TestMonotoneNewton:
     def test_strong_newton_takes_few_cg_iterations(self, monkeypatch):
         # 88 CG iterations per solve under the kM^-1 preconditioner; v on 155
         # nodes is now inverted exactly, whatever its amplitude
-        cg, iterations = operators.Resolvent.solve, []
-
-        def recorded(*args):
-            w, report = cg(*args)
-            iterations.append(report.iterations)
-            return w, report
-
-        monkeypatch.setattr(operators.Resolvent, "solve", recorded)
+        solves = record_newton_solves(monkeypatch)
         config = SolverConfig(n=16383, r_max=600.0, scheme=MONOTONE)
         grid = config.grid_for(0.01)
         _, rho, _, monotone, _ = _monotone_iteration(
             gaussian_potential(1e4, 1.0, grid), 0.01, grid)
         assert monotone
-        assert np.mean(iterations) <= 3.0
+        assert np.mean([iterations for iterations, _ in solves]) <= 3.0
         assert rho == pytest.approx(3.8902908552506174e-04, rel=1e-12)
 
     @pytest.mark.parametrize("n", [51199, 71999])
@@ -244,6 +246,130 @@ class TestMonotoneNewton:
         with pytest.warns(QualityWarning, match="falling back"):
             state = solve_fixed_e(v, 0.01, config)
         assert state.scheme_used.endswith("(fallback)")
+
+
+def newton_step_system(v, e, grid, u, rho):
+    """(resolvent, multiplier, R(u), u*u) of the Newton step at (u, rho), as
+    ``_monotone_iteration`` forms them."""
+    v_vals = v.samples.values
+    u_hat, conv, lap4e = solver._spectral_terms(RadialField(grid, u, POSITION), e)
+    multiplier = grid.k**2 + 4.0 * e - 4.0 * e * rho * u_hat
+    residual = v_vals + 2.0 * e * rho * conv.values - lap4e.values - v_vals * u
+    return (operators.Resolvent(grid, v_vals, multiplier), multiplier, residual,
+            conv.values)
+
+
+def sherman_morrison_step(v, grid, rho, resolvent, multiplier, residual, conv):
+    """(d, delta): the Newton step by two CG solves and Sherman-Morrison."""
+    v_vals = v.samples.values
+    a, _ = resolvent.solve(residual, multiplier, INNER_TOL)
+    b, _ = resolvent.solve(conv, multiplier, INNER_TOL)
+    delta = 1.0 - rho**2 * solver._s_moment(v, v_vals * b, grid, 0)
+    return a + rho**2 * solver._s_moment(v, v_vals * a, grid, 0) / delta * b, delta
+
+
+def sherman_morrison_newton(v, e, grid):
+    """(rho, max|d| per step) of monotone Newton with every step by
+    ``sherman_morrison_step``, the arithmetic the fallback branch must keep
+    bit for bit."""
+    d = operators.apply_Ke(v.samples, e, v, tol=INNER_TOL)[0].values
+    u = np.zeros(grid.n)
+    history = []
+    for it in range(1, solver._MAX_OUTER + 1):
+        if it > 1:
+            d, _ = sherman_morrison_step(v, grid, rho,
+                                         *newton_step_system(v, e, grid, u, rho))
+        history.append(float(np.max(np.abs(d))))
+        u = u + d
+        rho = solver._density(e, solver._constraint_integral(v, u, grid), [])
+        if history[-1] <= solver._OUTER_TOL:
+            return rho, history
+
+
+class TestNewtonStep:
+    @pytest.mark.parametrize("make, corrected", [
+        (lambda grid: explicit_potential(ExplicitSolutionSpec(1.0, 0.5, 1.0), grid), False),
+        (lambda grid: gaussian_potential(1.0, 1.0, grid), True),
+    ])
+    def test_gmres_step_is_the_sherman_morrison_step(self, make, corrected):
+        # the r^-6 tail puts every node on the support of v (no correction),
+        # the Gaussian 232 nodes (corrected)
+        grid = make_grid(4095, 100.0)
+        v = make(grid)
+        u = 0.5 * _fourier_iteration(v, 0.3, grid, None)[0]
+        rho = solver._density(0.3, solver._constraint_integral(v, u, grid), [])
+        system = newton_step_system(v, 0.3, grid, u, rho)
+        resolvent, multiplier, residual, conv = system
+        assert (resolvent.support.size > 0) == corrected
+        ell = rho**2 * solver._moment_weights(v, grid) * v.samples.values
+        d, report, delta_M = resolvent.solve_rank_one(residual, multiplier, conv, ell,
+                                                      INNER_TOL)
+        assert report.converged
+        reference, delta = sherman_morrison_step(v, grid, rho, *system)
+        assert np.max(np.abs(d - reference)) <= 1e-10 * np.max(np.abs(reference))
+        assert 0.0 < delta_M <= delta
+
+    def test_wide_strong_support_takes_the_fallback(self, monkeypatch):
+        # amp 1e3 on 388 nodes, over the capacitance budget: M = kM misses v,
+        # delta_M is -3.8 to -7.1 while delta is near 1, so every step runs
+        # the two CG solves
+        grid = make_grid(4095, 60.0)
+        v = gaussian_potential(1e3, 1.0, grid)
+        reference = sherman_morrison_newton(v, 0.05, grid)
+        kernel, deltas = operators.Resolvent.solve_rank_one, []
+
+        def recorded(*args):
+            out = kernel(*args)
+            deltas.append(out[2])
+            return out
+
+        monkeypatch.setattr(operators.Resolvent, "solve_rank_one", recorded)
+        _, rho, iterations, monotone, history = _monotone_iteration(v, 0.05, grid)
+        assert monotone
+        assert len(deltas) == iterations - 1
+        assert max(deltas) <= 0.0
+        assert (rho, history) == reference
+
+    def test_nonpositive_denominator_is_a_convergence_error(self, gauss_small, monkeypatch):
+        # delta_M <= 0 sends each step to the two CG solves; inflating their
+        # output makes delta = 1 - rho^2 int v b negative on step 2
+        monkeypatch.setattr(operators.Resolvent, "solve_rank_one",
+                            lambda self, *args: (None, None, 0.0))
+        cg, calls = operators.Resolvent.solve, [0]
+
+        def inflated(*args):
+            calls[0] += 1
+            w, report = cg(*args)
+            return (w if calls[0] == 1 else 1e6 * w), report    # the first is K_e v
+
+        monkeypatch.setattr(operators.Resolvent, "solve", inflated)
+        with pytest.raises(ConvergenceError,
+                           match="Newton denominator .* is not positive on step 2"):
+            _monotone_iteration(gauss_small, 0.3, gauss_small.grid)
+
+    def test_unconverged_gmres_is_a_convergence_error(self, monkeypatch):
+        # the r^-6 tail leaves v off the preconditioner's support, so GMRES
+        # needs 6-9 iterations; a two-vector basis cannot reach INNER_TOL
+        grid = make_grid(4095, 100.0)
+        v = explicit_potential(ExplicitSolutionSpec(1.0, 0.5, 1.0), grid)
+        monkeypatch.setattr(operators, "_KRYLOV_MAX", 2)
+        with pytest.raises(ConvergenceError, match="Newton GMRES solve on step 2 stalled"):
+            _monotone_iteration(v, 0.3, grid)
+
+    @pytest.mark.parametrize("make", [
+        lambda grid: gaussian_potential(1.0, 1.0, grid),
+        lambda grid: explicit_potential(ExplicitSolutionSpec(1.0, 0.5, 1.0), grid),
+        exp_table,
+    ])
+    def test_moment_weights_reproduce_s_moment(self, make):
+        grid = make_grid(4095, 100.0)
+        v = make(grid)
+        weights = solver._moment_weights(v, grid)
+        r = grid.r
+        for s in (v.samples.values, v.samples.values * np.exp(-0.1 * r),
+                  (1.0 + r * r) ** -3.0, (1.0 + r * r) ** -4.0 * np.cos(r)):
+            moment = solver._s_moment(v, s, grid, 0)
+            assert abs(np.dot(weights, s) - moment) <= 1e-13 * abs(moment)
 
 
 class TestAndersonIteration:
