@@ -26,8 +26,8 @@ the config's.
 ``_solve`` reaches the fixed point (scheme dispatch, fallback,
 cross-validation) and ``_build_state`` turns it into a SolutionState. Callers
 that need only rho stop at ``_solve``: the finite-difference pair of
-``rho_prime_fd``, whose lower solve starts from the reflection
-2 u(e) - u(e + de), and the probes of ``solve_fixed_rho``.
+``rho_prime_fd``, which starts from the analytic tangent u(e) +- de u'(e),
+and the probes of ``solve_fixed_rho``.
 
 Solutions decay like r^-4, so plain grid quadrature of int u misses an
 O(1/r_max) tail. Integrals of u carry a tail-and-image correction whose
@@ -717,15 +717,17 @@ def rho_prime_fd(v: Potential, state: SolutionState) -> float:
     """Centered finite difference of rho(e) by two re-solves at e +- de,
     de = _FD_REL_STEP e, on the state's grid.
 
-    Only rho is kept, so neither re-solve builds a state. The upper one starts
-    from u(e); the lower one from the reflection 2 u(e) - u(e + de), whose
-    error is O(de^2) rather than O(de).
+    Only rho is kept, so neither re-solve builds a state. They start from the
+    tangent u(e) +- de u'(e), which is O(de^2) from either answer; u' costs one
+    fK_e solve, rho' reuses the state's fK_e v. The start moves only the path:
+    each re-solve still iterates to its own fixed point.
     """
     de = _FD_REL_STEP * state.e
     v = v.resampled(state.grid)
     u = state.u.values
-    u_hi, rho_hi, *_ = _solve(v, state.e + de, state.config, v.grid, u)
-    _, rho_lo, *_ = _solve(v, state.e - de, state.config, v.grid, 2.0 * u - u_hi)
+    du = de * u_prime(state, rho_prime(state)).values
+    _, rho_hi, *_ = _solve(v, state.e + de, state.config, v.grid, u + du)
+    _, rho_lo, *_ = _solve(v, state.e - de, state.config, v.grid, u - du)
     return float((rho_hi - rho_lo) / (2.0 * de))
 
 

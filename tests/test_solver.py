@@ -381,9 +381,8 @@ class TestAndersonIteration:
         assert history[-1] <= solver._OUTER_TOL
 
     def test_warm_fd_resolve_count(self, gauss_small, monkeypatch):
-        # 8 k-space steps per warm re-solve under the damped fixed point, 5
-        # with Anderson mixing; the lower one starts from the reflection
-        # 2u - u_hi and took 4-5 steps when it started from u
+        # 8 k-space steps per warm re-solve from u under the damped fixed
+        # point, 5 with Anderson mixing; from the tangent u +- de u' each takes 2
         config = SolverConfig(n=2047, r_max=60.0)
         state = solve_fixed_e(gauss_small, 0.3, config)
         counts = []
@@ -398,8 +397,8 @@ class TestAndersonIteration:
         rho_prime_fd(gauss_small, state)
         assert len(counts) == 2
         hi, lo = counts
-        assert hi <= 6
-        assert lo <= 3
+        assert hi <= 2
+        assert lo <= 2
 
     def test_iterate_stays_finite_when_clamp_fires(self, monkeypatch):
         # u overshoots 1 on the support of v for several steps after the
@@ -543,6 +542,22 @@ class TestDerivatives:
         den = np.sqrt(state.grid.integrate(fd**2))
         assert num / den < 0.01
 
+    @pytest.mark.parametrize("e, config", [(0.3, SolverConfig(n=2047, r_max=60.0)),
+                                           (0.1, SolverConfig(n=4095))])
+    def test_fd_does_not_depend_on_the_tangent_start(self, gauss_small, monkeypatch, e,
+                                                      config):
+        # each re-solve iterates to its own fixed point, so a wrong u', or none
+        # (a start from u), moves the difference only by the stopping rule's
+        # error; a 1% error in u' moves it by ~5e-8
+        state = solve_fixed_e(gauss_small.resampled(config.grid_for(e)), e, config)
+        tangent = rho_prime_fd(state.potential, state)
+        exact = solver.u_prime
+        for scale in (0.9, 0.0):
+            monkeypatch.setattr(solver, "u_prime", lambda st, rp, scale=scale: RadialField(
+                st.grid, scale * exact(st, rp).values, POSITION))
+            started = rho_prime_fd(state.potential, state)
+            assert abs(started - tangent) <= 1e-6 * abs(tangent)
+
 
 class TestSweep:
     def test_single_row_degenerate(self, gauss_small):
@@ -580,8 +595,8 @@ class TestSweep:
         assert all(row.state.normalization_defect() <= 1e-6 for row in record.rows)
 
     def test_fd_check_builds_one_state_per_row(self, gauss_small, monkeypatch):
-        # the FD pair of each row keeps rho only: 9 states and 172 DST-I calls
-        # when it built full states from u, 3 and 136 now
+        # the FD pair of each row keeps rho only and starts from the tangent
+        # u +- de u': 3 states and 106 DST-I calls
         builds, transforms = [], [0]
         build, dst1 = solver._build_state, grids.dst1
 
@@ -599,9 +614,35 @@ class TestSweep:
         record = sweep(gauss_small, [0.1, 0.2, 0.4], SolverConfig(n=4095), fd_check=True)
         assert all(row.error is None for row in record.rows)
         assert builds == [0.1, 0.2, 0.4]
-        assert transforms[0] <= 136
+        assert transforms[0] <= 110
         for row in record.rows:
             assert row.rho_prime_analytic == pytest.approx(row.rho_prime_fd, rel=1e-3)
+
+    def test_fd_check_leaves_the_rows_alone(self, gauss_small, monkeypatch):
+        # the FD pair runs after its row is solved: the rows' rho, analytic
+        # rho' and warm-started step counts are those of a sweep without it
+        e_values = [0.1, 0.2, 0.4]
+        inner = solver._fourier_iteration
+
+        def run(fd_check):
+            steps = {}
+
+            def counting(v, e, grid, u0):
+                out = inner(v, e, grid, u0)
+                if e in e_values:
+                    steps[e] = out[2]
+                return out
+
+            monkeypatch.setattr(solver, "_fourier_iteration", counting)
+            record = sweep(gauss_small, e_values, SolverConfig(n=4095), fd_check=fd_check)
+            assert all(row.error is None for row in record.rows)
+            return record, steps
+
+        checked, checked_steps = run(True)
+        plain, plain_steps = run(False)
+        for column in ("rho", "rho_prime_analytic"):
+            assert np.array_equal(checked.column(column), plain.column(column))
+        assert checked_steps == plain_steps and len(plain_steps) == 3
 
     def test_rejects_unsorted_e(self, gauss_small):
         with pytest.raises(ConfigurationError):
