@@ -302,6 +302,10 @@ def run(config: RunConfig) -> ReportBundle:
                 k_hi = config.k_max or min(100.0 * np.sqrt(state.e),
                                            0.5 / _range_hint(config),
                                            float(state.grid.k[-1]))
+                if k_hi <= k_lo and (config.k_min or config.k_max):
+                    raise ConfigurationError(
+                        f"momentum window is empty: k_min = {k_lo:g} >= k_max = "
+                        f"{k_hi:g} (set k_min below k_max)")
                 ks = np.geomspace(k_lo, k_hi, config.k_steps) if k_hi > k_lo else []
                 report = observables_report(state, a0=v.a0, k_values=ks)
                 row.update({
@@ -323,9 +327,9 @@ def run(config: RunConfig) -> ReportBundle:
                     )
                 else:
                     warnings.warn(
-                        "momentum window is empty (10 sqrt(e) exceeds the "
-                        "inverse potential width); pass k_min/k_max to sample "
-                        "the distribution", UserWarning, stacklevel=1,
+                        f"momentum window [{k_lo:g}, {k_hi:g}] is empty (10 sqrt(e) "
+                        "exceeds the inverse potential width); pass k_min/k_max "
+                        "to sample the distribution", UserWarning, stacklevel=1,
                     )
             if config.mode == "audit":
                 audit = bound_audit(state)

@@ -1,9 +1,10 @@
 """Physical observables of a converged state and the inequality audit.
 
 Everything here reduces to quadratures against one operator solve,
-fK_e v, plus at most three more fK_e applications (to u, to 2u - rho u*u,
-and to the depletion cross-check payload). The depletion and the momentum
-distribution share one denominator, ``SolutionState.D``:
+fK_e v (self-adjointness moves fK_e off u and 2u - rho u*u onto v), plus
+one more fK_e application: the depletion cross-check, which must not share
+the solve it checks. The depletion and the momentum distribution share one
+denominator, ``SolutionState.D``:
 
     D = 1 - rho int v fK_e(2u - rho u*u) dx
 """
@@ -22,6 +23,15 @@ from .operators import INNER_TOL, apply_frakKe, frakKe_l2_bound
 from .solver import AuditRow, SolutionState, SweepRecord, rho_prime
 
 LHY_COEFFICIENT_FORMULA = "128/(15 sqrt(pi))"
+
+# A cubic spline's end conditions reach d nodes inwards damped by about
+# (2 - sqrt 3)^d, below 1e-36 at d = 64: a fit on the requested k-range
+# padded by this many nodes gives the full-grid fit's samples.
+_SPLINE_MARGIN = 64
+
+# exp(-x) is exactly 0.0 in double precision for x > 745.2, so a probe bump
+# is zero beyond sqrt(746) widths from its centre.
+_BUMP_REACH = np.sqrt(746.0)
 
 
 def lhy_coefficient() -> float:
@@ -42,9 +52,9 @@ def eta_nonnegativity_guaranteed(state: SolutionState) -> bool:
 
 
 def condensate_depletion(state: SolutionState) -> float:
-    """Non-condensed fraction eta = rho int v fK_e u / D."""
-    ku = state.solve_frakKe(state.u, "u")
-    numerator = state.rho * state.grid.integrate(state.potential.samples.values * ku.values)
+    """Non-condensed fraction eta = rho int v fK_e u / D, with the numerator
+    taken as rho int u fK_e v (fK_e is self-adjoint)."""
+    numerator = state.rho * state.grid.integrate(state.u.values * state.frakKe_v.values)
     return float(numerator / state.D)
 
 
@@ -72,9 +82,12 @@ def momentum_distribution(state: SolutionState, k_values) -> list:
         A(k) = int v fK_e cos(k.x) dx = (vhat(k) - what_v(k)) / m(k),
 
     w_v = v * (fK_e v) and m(k) the Y_e multiplier. Returns (k, M(k)) pairs;
-    requested wavenumbers are cubic-interpolated on the k-grid.
+    requested wavenumbers are cubic-interpolated on the k-nodes that span
+    them, padded by ``_SPLINE_MARGIN``.
     """
     k_values = np.atleast_1d(np.asarray(k_values, dtype=float))
+    if not k_values.size:
+        return []
     grid = state.grid
     if np.any(k_values <= 0) or np.any(k_values > grid.k[-1]):
         raise ConfigurationError(
@@ -86,18 +99,12 @@ def momentum_distribution(state: SolutionState, k_values) -> list:
     what_v = fourier_radial(wv)
     vhat = fourier_radial(state.potential.samples)
 
-    interp = {
-        "rho_u_hat": CubicSpline(grid.k, state.u_hat.values),
-        "vhat": CubicSpline(grid.k, vhat.values),
-        "what_v": CubicSpline(grid.k, what_v.values),
-    }
-    denominator = state.D
-    out = []
-    for k in k_values:
-        ruh = float(interp["rho_u_hat"](k))
-        m = k * k + 4.0 * state.e * (1.0 - ruh)
-        a = (float(interp["vhat"](k)) - float(interp["what_v"](k))) / m
-        out.append((float(k), float(ruh * a / denominator)))
+    lo = max(np.searchsorted(grid.k, k_values.min()) - _SPLINE_MARGIN, 0)
+    near = slice(lo, np.searchsorted(grid.k, k_values.max()) + _SPLINE_MARGIN)
+    ruh, vh, wh = (CubicSpline(grid.k[near], f.values[near])(k_values)
+                   for f in (state.u_hat, vhat, what_v))
+    m = k_values * k_values + 4.0 * state.e * (1.0 - ruh)
+    out = [(float(k), float(x)) for k, x in zip(k_values, ruh * ((vh - wh) / m) / state.D)]
     negatives = [k for k, m in out if m < 0.0]
     if negatives:
         # no positivity guarantee exists at finite density; surface, don't hide
@@ -284,9 +291,10 @@ def random_nonneg_fields(grid, count: int = 10, seed: int = 20260810) -> list[Ra
         amp = rng.uniform(0.5, 2.0)
         center = rng.uniform(0.0, 4.0)
         width = rng.uniform(0.5, 2.0)
-        fields.append(RadialField(
-            grid, amp * np.exp(-((grid.r - center) / width) ** 2), POSITION,
-        ))
+        values = np.zeros_like(grid.r)
+        near = slice(0, np.searchsorted(grid.r, center + _BUMP_REACH * width))
+        values[near] = amp * np.exp(-((grid.r[near] - center) / width) ** 2)
+        fields.append(RadialField(grid, values, POSITION))
     return fields
 
 

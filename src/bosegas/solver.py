@@ -178,11 +178,12 @@ class SolutionState:
     @cached_property
     def D(self) -> float:
         """1 - rho int v fK_e(2u - rho u*u), the denominator the depletion and
-        the momentum distribution share."""
-        w = RadialField(self.grid, 2.0 * self.u.values - self.rho * self.u_conv.values,
-                        POSITION)
-        kw = self.solve_frakKe(w, "2u - rho u*u")
-        return 1.0 - self.rho * self.grid.integrate(self.potential.samples.values * kw.values)
+        the momentum distribution share. fK_e is self-adjoint, so this is the
+        quadrature 1 + rho(rho int (fK_e v) u*u - 2 int (fK_e v) u) against
+        ``frakKe_v`` with no solve of its own, and the numerator of rho'."""
+        kv, rho = self.frakKe_v.values, self.rho
+        int_kv_conv = self.grid.integrate(kv * self.u_conv.values)
+        return 1.0 + rho * (rho * int_kv_conv - 2.0 * self.grid.integrate(kv * self.u.values))
 
     def normalization_defect(self) -> float:
         return abs(self.rho * self.integral_u - 1.0)
@@ -662,23 +663,17 @@ def rho_prime(state: SolutionState) -> float:
         (e/rho) rho' = (1 + rho int (fK_e v)(rho u*u - 2u))
                        / (1 - rho^2 int (fK_e v) u*u).
 
-    The denominator is provably positive; it is asserted here.
+    The numerator is ``state.D``. The denominator is provably positive; it
+    is asserted here.
     """
-    kv = state.frakKe_v.values
-    grid = state.grid
-    u = state.u.values
-    conv = state.u_conv.values
-    rho = state.rho
-    int_kv_conv = grid.integrate(kv * conv)
-    int_kv_u = grid.integrate(kv * u)
-    denominator = 1.0 - rho**2 * int_kv_conv
+    int_kv_conv = state.grid.integrate(state.frakKe_v.values * state.u_conv.values)
+    denominator = 1.0 - state.rho**2 * int_kv_conv
     if denominator <= 0.0:
         raise InvariantViolation(
             f"rho' denominator {denominator:.3e} is not positive; state is "
             "inconsistent (0 <= fK_e v <= 1 must have failed)"
         )
-    numerator = 1.0 + rho * (rho * int_kv_conv - 2.0 * int_kv_u)
-    return float(state.rho / state.e * numerator / denominator)
+    return float(state.rho / state.e * state.D / denominator)
 
 
 def u_prime(state: SolutionState, rho_prime_value: float) -> RadialField:

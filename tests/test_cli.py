@@ -157,6 +157,25 @@ class TestRunModes:
         assert code == 2
         assert "momentum samples need 0 < k <= 64.332" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bound, message", [
+        # the default k_max is 0.5 (half the inverse width), 10 sqrt(e) is 0.32
+        (["--k-min", "1"], "k_min = 1 >= k_max = 0.5"),
+        (["--k-max", "0.1"], "k_min = 0.316228 >= k_max = 0.1"),
+    ])
+    def test_user_bound_emptying_the_window_exits_2(self, bound, message,
+                                                     tmp_path, capsys):
+        code = main(OBSERVABLES + ["--grid-n", "8191", "--out", str(tmp_path / "obs")]
+                    + bound)
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_collapsed_default_window_warns_with_its_bounds(self, tmp_path, capsys):
+        # 10 sqrt(0.5) = 7.07 exceeds the default k_max of 0.5
+        code = main(["--mode", "observables"] + GAUSS
+                    + ["--e", "0.5", "--grid-n", "4095", "--out", str(tmp_path / "obs")])
+        assert code == 0
+        assert "momentum window [7.07107, 0.5] is empty" in capsys.readouterr().err
+
     def test_strong_potential_exits_with_package_error(self, tmp_path, capsys):
         # the iterate reaches u = 1 on the support of v, so int (1-u) v = 0
         code = main(["--mode", "solve", "--potential", "gaussian", "--amp", "10000",

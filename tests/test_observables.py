@@ -1,11 +1,34 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
-from bosegas import (SolverConfig, beta_moment, bound_audit,
+from bosegas import (QualityWarning, SolverConfig, beta_moment, bound_audit,
                      condensate_depletion, decay_constant, gaussian_potential,
                      lhy_coefficient, lhy_compare, momentum_distribution,
-                     observables_report, solve_fixed_e, sweep, tan_constant)
-from bosegas.observables import depletion_consistency, u_lp_bound_constant
+                     observables_report, operators, solve_fixed_e, sweep,
+                     tan_constant)
+from bosegas.grids import POSITION, RadialField, fourier_radial, make_grid
+from bosegas.observables import (depletion_consistency, random_nonneg_fields,
+                                 u_lp_bound_constant)
+from bosegas.solver import rho_prime
+
+
+@pytest.fixture(scope="module")
+def state_strong():
+    """Gaussian amp 100 at e = 0.01: u is close to 1 on the support of v."""
+    config = SolverConfig(n=8191, r_max=400.0)
+    return solve_fixed_e(gaussian_potential(100.0, 1.0, config.grid_for(0.01)),
+                         0.01, config)
+
+
+@pytest.fixture(scope="module")
+def state_dilute():
+    """Gaussian amp 1 at e = 1e-3, whose default momentum window is not empty."""
+    config = SolverConfig(n=8191, r_max=120.0 / np.sqrt(1e-3))
+    return solve_fixed_e(gaussian_potential(1.0, 1.0, config.grid_for(1e-3)),
+                         1e-3, config)
 
 
 class TestBeta:
@@ -48,6 +71,91 @@ class TestCondensateDepletion:
                                   e, config)
             etas.append(condensate_depletion(state))
         assert etas[0] > etas[1] > etas[2] > 0.0
+
+
+class TestSolveBudget:
+    """The observables read the state's one fK_e v; the depletion cross-check
+    and the 10 audit probes are the only other solves."""
+
+    def test_report_and_audit_make_twelve_solves(self, state_gauss, monkeypatch):
+        calls = []
+        solve = operators.Resolvent.solve
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(operators.Resolvent, "solve", counted)
+        fresh = dataclasses.replace(state_gauss)     # no cached fK_e v or D
+        observables_report(fresh, k_values=[0.5, 1.0])
+        bound_audit(fresh)
+        assert len(calls) == 12
+
+    @pytest.mark.parametrize("name", ["state_gauss", "state_explicit", "state_strong"])
+    def test_eta_and_D_match_the_two_solve_forms(self, name, request):
+        state = request.getfixturevalue(name)
+        v, rho = state.potential.samples.values, state.rho
+        w = RadialField(state.grid, 2.0 * state.u.values - rho * state.u_conv.values,
+                        POSITION)
+        d_old = 1.0 - rho * state.grid.integrate(
+            v * state.solve_frakKe(w, "2u - rho u*u").values)
+        eta_old = rho * state.grid.integrate(
+            v * state.solve_frakKe(state.u, "u").values) / d_old
+        assert state.D == pytest.approx(d_old, rel=1e-12, abs=0.0)
+        assert condensate_depletion(state) == pytest.approx(eta_old, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["state_gauss", "state_explicit", "state_strong"])
+    def test_rho_prime_bit_identical_to_its_closed_ratio(self, name, request):
+        state = request.getfixturevalue(name)
+        kv, grid, rho = state.frakKe_v.values, state.grid, state.rho
+        int_kv_conv = grid.integrate(kv * state.u_conv.values)
+        int_kv_u = grid.integrate(kv * state.u.values)
+        numerator = 1.0 + rho * (rho * int_kv_conv - 2.0 * int_kv_u)
+        denominator = 1.0 - rho**2 * int_kv_conv
+        assert rho_prime(state) == float(rho / state.e * numerator / denominator)
+
+
+def _full_grid_momentum(state, k_values):
+    """M(k) through cubic splines over every k-node, one sample at a time."""
+    grid = state.grid
+    kv = state.frakKe_v.values
+    what_v = fourier_radial(RadialField(grid, state.potential.samples.values * kv,
+                                        POSITION))
+    vhat = fourier_radial(state.potential.samples)
+    ruh_s, vhat_s, what_s = (CubicSpline(grid.k, f.values)
+                             for f in (state.u_hat, vhat, what_v))
+    out = []
+    for k in k_values:
+        ruh = float(ruh_s(k))
+        m = k * k + 4.0 * state.e * (1.0 - ruh)
+        a = (float(vhat_s(k)) - float(what_s(k))) / m
+        out.append((float(k), float(ruh * a / state.D)))
+    return out
+
+
+class TestWindowedBitIdentity:
+    def test_default_dilute_window(self, state_dilute):
+        e = state_dilute.e
+        ks = np.geomspace(10.0 * np.sqrt(e), 0.5, 24)
+        assert np.array_equal(momentum_distribution(state_dilute, ks),
+                              _full_grid_momentum(state_dilute, ks))
+
+    def test_up_to_the_last_node_and_below_the_first(self, state_gauss):
+        k = state_gauss.grid.k
+        ks = np.concatenate([[0.5 * k[0]], np.geomspace(k[0], k[-1], 40)])
+        with pytest.warns(QualityWarning):     # M(k) < 0 at some large k
+            windowed = momentum_distribution(state_gauss, ks)
+        assert np.array_equal(windowed, _full_grid_momentum(state_gauss, ks))
+
+    @pytest.mark.parametrize("n, r_max", [(161999, 40000.0), (2047, 60.0), (255, 5.0)])
+    def test_probe_fields_match_the_full_grid_formula(self, n, r_max):
+        grid = make_grid(n, r_max)
+        rng = np.random.default_rng(7)
+        for psi in random_nonneg_fields(grid, count=10, seed=7):
+            amp, center, width = (rng.uniform(0.5, 2.0), rng.uniform(0.0, 4.0),
+                                  rng.uniform(0.5, 2.0))
+            full = amp * np.exp(-((grid.r - center) / width) ** 2)
+            assert np.array_equal(psi.values, full)
 
 
 class TestMomentumDistribution:
