@@ -125,9 +125,7 @@ def tan_constant(state: SolutionState) -> float:
 
 def beta_moment(state: SolutionState) -> float:
     """beta = rho int |x|^2 v (1-u) dx, with the algebraic tail of v restored."""
-    from .solver import _s_moment
-    m2 = _s_moment(state.potential, state.S.values, state.grid, 2)
-    return float(state.rho * m2)
+    return float(state.rho * state.s_moment2)
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,11 @@ def apply_Ye(psi: RadialField, ctx: OperatorContext) -> RadialField:
     return _output_field(psi, out.values, "Y_e")
 
 
+def _end(x: np.ndarray, limit: int):
+    """1 + the last nonzero node of x (not all 0), or None if one is at or past ``limit``."""
+    return None if np.any(x[limit:]) else int(np.flatnonzero(x[:limit])[-1]) + 1
+
+
 class Resolvent:
     """(kM + v)^-1 on raw arrays, kM diagonal in k with entries ``multiplier``,
     by conjugate gradients preconditioned with M^-1, M = kM + P D P^T on
@@ -163,8 +168,8 @@ class Resolvent:
     (and no transform of a new length). By Woodbury, M^-1 s = kM^-1 (s - P x)
     with x = D^1/2 C^-1 D^1/2 (kM^-1 s)_P and C = I + D^1/2 (kM^-1)_PP D^1/2,
     the capacitance matrix (Buzbee, Dorr, George & Golub 1971; Proskurowski &
-    Widlund 1976), Cholesky-factored once here. Only m-sized arrays are kept,
-    so ``solve`` takes the multiplier again.
+    Widlund 1976), Cholesky-factored once here. It keeps m-sized arrays and the
+    prefix sums (short solves read them), not q: ``solve`` takes the multiplier.
 
     When the support of v has more than _SUPPORT_MAX nodes, m = 0 and M = kM.
     """
@@ -173,21 +178,22 @@ class Resolvent:
         self.grid, self.v_values = grid, v_values
         support = np.flatnonzero(v_values > _SUPPORT_RTOL * np.max(v_values))
         self.support = support if support.size <= _SUPPORT_MAX else support[:0]
+        self.reach = grid.n // max(self.support.size, 1)   # short solves: m L <= n
+        self.v_end = _end(v_values, self.reach) if self.support.size else None
         if self.support.size:
-            n = grid.n
+            n, last = grid.n, int(self.support[-1])
             unit = np.zeros(n)
             unit[0] = 1.0
             column = dst1(dst1(unit) * self._kM_inverse_scale(multiplier))
-            top = 2 * int(self.support[-1])     # the largest i + j
+            top = last + (last if self.v_end is None else max(last, self.reach - 1))  # max i + j
             if top >= n:    # c even about N makes the column odd about index n
                 column = np.concatenate((column, [0.0], -column[:0:-1]))
             # prefix[t + 2] = column[t] + column[t - 2] + ...
-            prefix = np.zeros(top + 3)
-            prefix[2::2] = np.cumsum(column[:top + 1:2])
-            prefix[3::2] = np.cumsum(column[1:top + 1:2])
-            i, j = self.support[:, None], self.support[None, :]
+            self.prefix = np.zeros(top + 3)
+            self.prefix[2::2] = np.cumsum(column[:top + 1:2])
+            self.prefix[3::2] = np.cumsum(column[1:top + 1:2])
             self.d_half = np.sqrt(v_values[self.support])
-            capacitance = self.d_half[:, None] * (prefix[i + j + 2] - prefix[np.abs(i - j)])
+            capacitance = self.d_half[:, None] * self._block(self.support)
             capacitance *= self.d_half
             capacitance[np.diag_indices_from(capacitance)] += 1.0
             self.factor = cho_factor(capacitance)
@@ -196,17 +202,25 @@ class Resolvent:
         """q with kM^-1 y = dst1(dst1(y) q) on y = r*w."""
         return 1.0 / (2.0 * (self.grid.n + 1) * multiplier)
 
-    def _precondition(self, s: np.ndarray, q: np.ndarray, work: np.ndarray):
+    def _block(self, nodes: np.ndarray) -> np.ndarray:
+        """(kM^-1)_ij for i in P and j in ``nodes``, from the prefix sums."""
+        i = self.support[:, None]
+        return self.prefix[i + nodes + 2] - self.prefix[np.abs(i - nodes)]
+
+    def _precondition(self, s: np.ndarray, q: np.ndarray, work: np.ndarray, table=None):
         """(M^-1 s, s - P x) on y = r*w, x = D^1/2 C^-1 D^1/2 (kM^-1 s)_P, so
         that kM M^-1 s = s - P x: two DST-I calls, or four and an m x m
-        triangular solve pair when corrected. ``s - P x`` is written into
-        ``work``, or is ``s`` itself when m = 0."""
-        z = dst1(s)
-        z *= q
-        z = dst1(z)
-        if not self.support.size:
-            return z, s
-        x = self.d_half * cho_solve(self.factor, self.d_half * z[self.support])
+        triangular solve pair when corrected, two fewer if (kM^-1 s)_P is
+        ``table`` @ s[:L] (``solve``). ``s - P x`` is written into ``work``,
+        or is ``s`` itself when m = 0."""
+        if table is None:
+            z = dst1(s)
+            z *= q
+            z = dst1(z)
+            if not self.support.size:
+                return z, s
+        z_P = z[self.support] if table is None else table @ s[:table.shape[1]]
+        x = self.d_half * cho_solve(self.factor, self.d_half * z_P)
         np.copyto(work, s)
         work[self.support] -= x
         z = dst1(work)
@@ -222,7 +236,9 @@ class Resolvent:
         and v is diagonal. z = M^-1 r is kM^-1 (r - P x), and kM z = r - P x,
         so kM p follows from the recurrence kM p <- (r - P x) + beta kM p. An
         iteration costs four DST-I calls and an m x m triangular solve pair,
-        or two DST-I calls when m = 0 (then P x = 0 and M = kM). Stops when
+        or two DST-I calls when m = 0 (then P x = 0 and M = kM) or when psi
+        and v end before node L, m L <= n: then every r = r - alpha (v p +
+        kM p) does too, and (kM^-1 r)_P is an m x L product. Stops when
         the recursively updated relative residual ||r|| / ||psi|| reaches
         ``tol``, or unconverged after MAX_ITER iterations; the true residual
         of w levels off above 1e-12 relative, so checking it against a
@@ -239,8 +255,10 @@ class Resolvent:
         work = np.empty(grid.n)
         res = 1.0                  # ||r|| / ||psi|| at w = 0
         rz_prev = np.inf           # makes the first beta zero
+        end = self.v_end and _end(res_y, self.reach)      # m L <= n, or None
+        table = self._block(np.arange(max(end, self.v_end))) if end else None
         for it in range(1, MAX_ITER + 1):
-            z, kMz = self._precondition(res_y, q, work)
+            z, kMz = self._precondition(res_y, q, work, table)
             rz = float(np.dot(res_y, z))
             beta = rz / rz_prev
             p *= beta

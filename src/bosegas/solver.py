@@ -131,7 +131,7 @@ _GRID_INDEPENDENT_ROWS = frozenset({"con4B_high"})
 
 @dataclass
 class SolutionState:
-    """Converged bundle (e, rho, u, S, transforms, diagnostics) of one solve.
+    """Converged bundle (e, rho, u, transforms, diagnostics) of one solve.
 
     The operator context, fK_e v and the observables' denominator D are
     computed on first use and kept for the state's lifetime.
@@ -142,8 +142,6 @@ class SolutionState:
     u: RadialField
     u_hat: RadialField              # stores rho * uhat
     u_conv: RadialField             # u*u
-    S: RadialField
-    S_hat: RadialField
     potential: Potential
     config: SolverConfig
     iterations: int
@@ -153,6 +151,8 @@ class SolutionState:
     tail_mass: float                # rho * (tail integral beyond r_max)
     integral_u: float               # tail- and image-corrected int u
     beta_curvature: float           # -(rho/4e) d^2_kappa Shat(0)
+    s_moment2: float                # int |x|^2 S, S = (1-u) v, tail of v restored
+    radicand_min: float             # min over k of (kappa^2+1)^2 - (rho/2e) Shat(k)
     tail: TailModel
     cross_check: float | None = None
     monotone_iterates: bool | None = None
@@ -208,12 +208,10 @@ class SolutionState:
     def check_invariants(self, norm_tol: float = 1e-6) -> dict:
         """The state contract, name -> AuditRow: ``bound_rows`` plus the
         constraint, radicand and PDE residuals."""
-        kappa2 = self.grid.k**2 / (4.0 * self.e)
-        radicand = np.min((kappa2 + 1.0) ** 2 - self.rho / (2.0 * self.e) * self.S_hat.values)
         rows = self.bound_rows(norm_tol) + [
             AuditRow.check("constraint", self.constraint_residual, 1e-8,
                            note="2e/rho = int (1-u) v, relative"),
-            AuditRow.check("radicand", 0.0, radicand,
+            AuditRow.check("radicand", 0.0, self.radicand_min,
                            note="(kappa^2+1)^2 >= (rho/2e) Shat(k) on the k-grid"),
             AuditRow.check("pde_residual", self.pde_residual, 1e-7,
                            note="relative L2 residual of the pair equation"),
@@ -598,8 +596,9 @@ def _build_state(v: Potential, e: float, config: SolverConfig, grid: RadialGrid,
                  monotone: bool | None, gap: float | None) -> SolutionState:
     u = RadialField(grid, u_values, POSITION)
     s_vals = np.maximum((1.0 - u_values) * v.samples.values, 0.0)
-    S = RadialField(grid, s_vals, POSITION)
-    S_hat = fourier_radial(S)
+    S_hat = fourier_radial(RadialField(grid, s_vals, POSITION))
+    kappa2 = grid.k**2 / (4.0 * e)
+    radicand_min = np.min((kappa2 + 1.0) ** 2 - rho / (2.0 * e) * S_hat.values)
 
     constraint = _constraint_integral(v, u_values, grid)
     constraint_residual = abs(constraint - 2.0 * e / rho) / (2.0 * e / rho)
@@ -620,12 +619,12 @@ def _build_state(v: Potential, e: float, config: SolverConfig, grid: RadialGrid,
                          / np.sqrt(grid.integrate(v.samples.values**2)))
 
     return SolutionState(
-        e=e, rho=rho, u=u, u_hat=rho_u_hat, u_conv=conv, S=S, S_hat=S_hat,
+        e=e, rho=rho, u=u, u_hat=rho_u_hat, u_conv=conv,
         potential=v, config=config, iterations=iterations, scheme_used=scheme_used,
         pde_residual=pde_residual, constraint_residual=constraint_residual,
         tail_mass=tail_mass, integral_u=integral_u,
-        beta_curvature=beta_curvature, tail=tail, cross_check=gap,
-        monotone_iterates=monotone,
+        beta_curvature=beta_curvature, s_moment2=m2_s, radicand_min=radicand_min,
+        tail=tail, cross_check=gap, monotone_iterates=monotone,
     )
 
 

@@ -36,6 +36,15 @@ def state_gauss(gauss_small):
     return solve_fixed_e(v, 0.5, config)
 
 
+@pytest.fixture(scope="session")
+def state_dilute():
+    """Gaussian amp 1 at e = 1e-3: v is on m = 14 capacitance nodes and is
+    exactly zero from node 69 on, so m L <= n holds for short payloads."""
+    e = 1e-3
+    config = SolverConfig(n=32399, r_max=400.0 / np.sqrt(e))
+    return solve_fixed_e(gaussian_potential(1.0, 1.0, config.grid_for(e)), e, config)
+
+
 def gaussian_bumps(grid, seed=0, count=1):
     """Deterministic smooth non-negative probe fields."""
     rng = np.random.default_rng(seed)

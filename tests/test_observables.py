@@ -115,6 +115,22 @@ class TestSolveBudget:
         assert rho_prime(state) == float(rho / state.e * numerator / denominator)
 
 
+class TestSlimState:
+    """The state keeps two scalars of S = (1-u) v, not S and its transform."""
+
+    @pytest.mark.parametrize("name", ["state_gauss", "state_explicit"])
+    def test_radicand_and_beta_match_the_array_formulas(self, name, request):
+        from bosegas.solver import _s_moment
+        state = request.getfixturevalue(name)
+        grid, v, e, rho = state.grid, state.potential, state.e, state.rho
+        s_vals = np.maximum((1.0 - state.u.values) * v.samples.values, 0.0)
+        S_hat = fourier_radial(RadialField(grid, s_vals, POSITION))
+        kappa2 = grid.k**2 / (4.0 * e)
+        radicand = np.min((kappa2 + 1.0) ** 2 - rho / (2.0 * e) * S_hat.values)
+        assert state.check_invariants()["radicand"].rhs == float(radicand)
+        assert beta_moment(state) == float(rho * _s_moment(v, s_vals, grid, 2))
+
+
 def _full_grid_momentum(state, k_values):
     """M(k) through cubic splines over every k-node, one sample at a time."""
     grid = state.grid

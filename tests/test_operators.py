@@ -9,6 +9,7 @@ from bosegas import (GridMismatchError, InvariantViolation, FREQUENCY, POSITION,
 from bosegas import operators
 from bosegas.operators import (INNER_TOL, LinearSolveReport, OperatorContext, Resolvent,
                                _SUPPORT_MAX, frakKe_l2_bound)
+from bosegas.observables import random_nonneg_fields
 from bosegas.solver import SolverConfig, solve_fixed_e
 
 from conftest import gaussian_bumps
@@ -70,6 +71,18 @@ def reference_cg(psi, v_values, multiplier, tol, support=()):
         if np.sqrt(g.integrate(r * r)) / psi.norm_l2() <= tol:
             return w, it
         rz_prev = rz
+
+
+def count_dst1(monkeypatch):
+    """A one-element list that counts the kernel's DST-I calls from now on."""
+    real, calls = operators.dst1, [0]
+
+    def counted(x):
+        calls[0] += 1
+        return real(x)
+
+    monkeypatch.setattr(operators, "dst1", counted)
+    return calls
 
 
 def kM_only_cg(grid, psi, v_values, multiplier, tol, max_iter):
@@ -322,13 +335,7 @@ class TestFrakKe:
 
     def test_dst1_calls_per_iteration(self, state_gauss, wide_context, monkeypatch):
         # four DST-I per iteration with the correction, two without
-        real, calls = operators.dst1, [0]
-
-        def counted(x):
-            calls[0] += 1
-            return real(x)
-
-        monkeypatch.setattr(operators, "dst1", counted)
+        calls = count_dst1(monkeypatch)
         for ctx, per_iteration in ((state_gauss.context, 4), (wide_context, 2)):
             ctx.resolvent                   # built once, outside the count
             calls[0] = 0
@@ -406,6 +413,106 @@ class TestFrakKe:
         lhs = state_gauss.grid.integrate(v.samples.values
                                          * state_gauss.frakKe_v.values)
         assert lhs <= v.norms.v_l1
+
+
+class TestShortPayloads:
+    """A payload that, like v, is zero from node L on with m L <= n reads
+    (kM^-1 psi)_P from the capacitance prefix sums: one DST-I pair per
+    iteration, where a payload reaching further takes two."""
+
+    @staticmethod
+    def payloads(state):
+        return {"v": state.potential.samples, "u": state.u,
+                "probe": random_nonneg_fields(state.grid, count=1)[0]}
+
+    def test_dst1_calls_per_solve(self, state_dilute, monkeypatch):
+        ctx = state_dilute.context
+        assert ctx.resolvent.support.size == 14
+        assert ctx.resolvent.v_end == 69            # v is exactly 0 from node 69 on
+        calls = count_dst1(monkeypatch)
+        payloads = self.payloads(state_dilute)
+        for name, per_solve in (("v", 2), ("probe", 2), ("u", 4)):
+            calls[0] = 0
+            _, report = apply_frakKe(payloads[name], ctx, tol=INNER_TOL)
+            assert report.converged and report.iterations == 1
+            assert calls[0] == per_solve, name
+
+    def test_matches_field_reference(self, state_dilute):
+        ctx = state_dilute.context
+        multiplier, v_values = ctx.multiplier(), ctx.v.samples.values
+        for psi in self.payloads(state_dilute).values():
+            w, report = ctx.resolvent.solve(psi.values, multiplier, INNER_TOL)
+            ref, iterations = reference_cg(psi, v_values, multiplier, INNER_TOL,
+                                           ctx.resolvent.support)
+            assert report.iterations == iterations
+            assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_agrees_with_the_transform_path(self, state_dilute, monkeypatch):
+        # v_end = None sends every payload through the DST-I pair
+        ctx = state_dilute.context
+        multiplier = ctx.multiplier()
+        payloads = self.payloads(state_dilute)
+        short = {k: ctx.resolvent.solve(p.values, multiplier, INNER_TOL)
+                 for k, p in payloads.items()}
+        monkeypatch.setattr(ctx.resolvent, "v_end", None)
+        for name, psi in payloads.items():
+            w, report = ctx.resolvent.solve(psi.values, multiplier, INNER_TOL)
+            assert short[name][1].iterations == report.iterations
+            if name == "u":
+                np.testing.assert_array_equal(short[name][0], w)
+            else:
+                assert np.max(np.abs(short[name][0] - w)) <= 1e-14 * np.max(np.abs(w))
+
+    def test_wide_support_keeps_the_transform_path(self, state_gauss, monkeypatch):
+        # m = 232 nodes on n = 8191: m L <= n needs L <= 35, but v reaches further
+        resolvent = state_gauss.context.resolvent
+        assert resolvent.support.size == 232 and resolvent.v_end is None
+        calls = count_dst1(monkeypatch)
+        _, report = apply_frakKe(state_gauss.potential.samples, state_gauss.context,
+                                 tol=INNER_TOL)
+        assert calls[0] == 4 * report.iterations
+
+    def test_residuals_stay_inside_the_block(self, monkeypatch):
+        # v below the support threshold at node 6 still widens the block to
+        # L = 7 for a payload at node 0: the second residual lives on 3 and 6
+        g = make_grid(31, 6.0)
+        v_values = np.zeros(g.n)
+        v_values[[3, 6]] = 5.0, 4e-14
+        multiplier = g.k**2 + 2.0
+        resolvent = Resolvent(g, v_values, multiplier)
+        assert resolvent.support.tolist() == [3] and resolvent.v_end == 7
+        inputs, precondition = [], Resolvent._precondition
+
+        def recorded(self, s, q, work, table=None):
+            inputs.append((s.copy(), table.shape[1]))
+            return precondition(self, s, q, work, table)
+
+        monkeypatch.setattr(Resolvent, "_precondition", recorded)
+        psi = np.eye(1, g.n)[0]
+        _, report = resolvent.solve(psi, multiplier, 1e-16)
+        assert report.converged and report.iterations == len(inputs) == 2
+        assert np.flatnonzero(inputs[1][0]).tolist() == [3, 6]
+        for s, width in inputs:
+            assert width == 7 and not np.any(s[width:])
+
+    def test_single_node_support_reaches_the_odd_extension(self, monkeypatch):
+        # m = 1 at node 3 makes every payload short (L <= n), and the block's
+        # largest i + j, 3 + n - 1, lies past the column's odd reflection at n
+        g = make_grid(31, 6.0)
+        v_values = np.zeros(g.n)
+        v_values[3] = 5.0
+        multiplier = g.k**2 + 2.0
+        resolvent = Resolvent(g, v_values, multiplier)
+        assert resolvent.v_end == 4 and resolvent.prefix.size - 3 >= g.n
+        calls = count_dst1(monkeypatch)
+        for psi in (np.exp(-g.r**2), np.ones(g.n)):
+            calls[0] = 0
+            w, report = resolvent.solve(psi, multiplier, 1e-12)
+            assert calls[0] == 2 * report.iterations
+            ref, iterations = reference_cg(RadialField(g, psi, POSITION), v_values,
+                                           multiplier, 1e-12, (3,))
+            assert report.iterations == iterations
+            assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestSymmetry:
