@@ -19,7 +19,7 @@ from scipy.special import gamma
 
 from .errors import ConfigurationError
 from .grids import POSITION, RadialField
-from .operators import INNER_TOL, apply_frakKe, frakKe_l2_bound
+from .operators import apply_frakKe, frakKe_l2_bound
 from .solver import AuditRow, SolutionState, SweepRecord, rho_prime
 
 LHY_COEFFICIENT_FORMULA = "128/(15 sqrt(pi))"
@@ -68,7 +68,7 @@ def depletion_consistency(state: SolutionState, eta: float) -> float:
         - 2.0 * state.u.values - 4.0 * eta * state.u.values,
         POSITION,
     )
-    s_field, report = apply_frakKe(payload, state.context, tol=INNER_TOL)
+    s_field, report = apply_frakKe(payload, state.context)
     if not report.converged:
         return np.inf
     v_vals = state.potential.samples.values

@@ -36,12 +36,11 @@ from .grids import (FREQUENCY, POSITION, RadialField, RadialGrid, dst1,
                     fourier_radial, inverse_fourier_radial)
 from .potentials import Potential, QualityWarning
 
-DEFAULT_TOL = 1e-10
 INNER_TOL = 1e-12
-"""Relative residual of each K_e/fK_e solve of the solver and observables. The
-recomputed residual floors above it, higher for larger n and rougher payloads
-(fK_e u: ~2e-12 at n=4095, 6e-11 at n=161999); below that, ``final_residual``
-is the CG recurrence's estimate."""
+"""Relative residual of every K_e/fK_e solve, the default ``tol`` of the solves
+below. The recomputed residual floors above it, higher for larger n and rougher
+payloads (fK_e u: ~2e-12 at n=4095, 6e-11 at n=161999); below that,
+``final_residual`` is the CG recurrence's estimate."""
 MAX_ITER = 10_000        # CG iterations before a solve is reported unconverged
 POSITIVITY_SLACK = 1e-10
 _SUPPORT_RTOL = 1e-14    # v above this fraction of max v is on the preconditioner's support
@@ -373,7 +372,7 @@ def require_converged(solved, what: str, history=None):
 
 
 def apply_Ke(psi: RadialField, e: float, v: Potential,
-             tol: float = DEFAULT_TOL) -> tuple[RadialField, LinearSolveReport]:
+             tol: float = INNER_TOL) -> tuple[RadialField, LinearSolveReport]:
     """K_e psi = (-Delta + v + 4e)^-1 psi by conjugate gradients preconditioned
     with G_e^-1 + v on the support of v."""
     if e <= 0:
@@ -385,7 +384,7 @@ def apply_Ke(psi: RadialField, e: float, v: Potential,
 
 
 def apply_frakKe(psi: RadialField, ctx: OperatorContext,
-                 tol: float = DEFAULT_TOL) -> tuple[RadialField, LinearSolveReport]:
+                 tol: float = INNER_TOL) -> tuple[RadialField, LinearSolveReport]:
     """fK_e psi by conjugate gradients preconditioned with Y_e^-1 + v on the
     support of v."""
     out, report = ctx.resolvent.solve(psi.values, ctx.multiplier(), tol)
@@ -393,7 +392,7 @@ def apply_frakKe(psi: RadialField, ctx: OperatorContext,
 
 
 def symmetry_check(phi: RadialField, psi: RadialField, ctx: OperatorContext,
-                   tol: float = DEFAULT_TOL) -> float:
+                   tol: float = INNER_TOL) -> float:
     """Relative defect of int phi fK_e psi = int psi fK_e phi (self-adjointness)."""
     k_psi = require_converged(apply_frakKe(psi, ctx, tol=tol), "fK_e solve in symmetry check")
     k_phi = require_converged(apply_frakKe(phi, ctx, tol=tol), "fK_e solve in symmetry check")

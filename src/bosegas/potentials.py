@@ -9,7 +9,7 @@ w''(r) = v(r) w(r) with w(0) = 0 and a0 = lim (r - w/w').
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -44,7 +44,6 @@ class Potential:
     name: str
     profile: callable
     grid: RadialGrid
-    params: dict = field(default_factory=dict)
     tail_power: float | None = None     # v ~ tail_coeff / r^tail_power
     tail_coeff: float | None = None
     range_hint: float = 1.0             # decay scale, used by the ODE solver
@@ -121,7 +120,7 @@ class Potential:
         if grid == self.grid:
             return self
         return Potential(
-            name=self.name, profile=self.profile, grid=grid, params=dict(self.params),
+            name=self.name, profile=self.profile, grid=grid,
             tail_power=self.tail_power, tail_coeff=self.tail_coeff,
             range_hint=self.range_hint, bounded=self.bounded,
             table_limit=self.table_limit,
@@ -137,9 +136,7 @@ def gaussian_potential(amplitude: float, width: float, grid: RadialGrid) -> Pote
         return amplitude * np.exp(-((np.asarray(r) / width) ** 2))
 
     return Potential(
-        name="gaussian", profile=profile, grid=grid,
-        params={"amplitude": amplitude, "width": width},
-        tail_power=None, range_hint=width,
+        name="gaussian", profile=profile, grid=grid, tail_power=None, range_hint=width,
     )
 
 
@@ -196,7 +193,7 @@ def explicit_potential(spec: ExplicitSolutionSpec, grid: RadialGrid) -> Potentia
     At c = 1 the value at the origin diverges like r^-2 (still L^1); the
     shifted grid has no node at r = 0, and the L^2 flag is dropped.
     """
-    b, c, e = spec.b, spec.c, spec.e
+    b, c = spec.b, spec.c
     coeffs = spec.numerator_coefficients()
 
     def profile(r):
@@ -212,7 +209,6 @@ def explicit_potential(spec: ExplicitSolutionSpec, grid: RadialGrid) -> Potentia
         )
     return Potential(
         name="explicit", profile=profile, grid=grid,
-        params={"b": b, "c": c, "e": e},
         tail_power=6.0, tail_coeff=float(coeffs[3] / b**6),
         range_hint=1.0 / b, bounded=(c < 1.0),
     )
@@ -259,8 +255,7 @@ def tabulated_potential(pairs, grid: RadialGrid) -> Potential:
         return np.where(neg, 0.0, out)
 
     return Potential(
-        name="tabulated", profile=profile, grid=grid,
-        params={"points": len(pairs)}, range_hint=max(r_last / 8.0, 1.0),
+        name="tabulated", profile=profile, grid=grid, range_hint=max(r_last / 8.0, 1.0),
         table_limit=r_last,
     )
 

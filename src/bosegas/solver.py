@@ -24,10 +24,10 @@ DST-I each way per step. A solve keeps its potential's grid when it equals
 the config's.
 
 ``_solve`` reaches the fixed point (scheme dispatch, fallback,
-cross-validation) and ``_build_state`` turns it into a SolutionState. Callers
-that need only rho stop at ``_solve``: the finite-difference pair of
-``rho_prime_fd``, which starts from the analytic tangent u(e) +- de u'(e),
-and the probes of ``solve_fixed_rho``.
+cross-validation) as a ``Solved`` record, and ``_build_state`` turns it into
+a SolutionState. Callers that need only rho read it off the record: the
+finite-difference pair of ``rho_prime_fd``, which starts from the analytic
+tangent u(e) +- de u'(e), and the probes of ``solve_fixed_rho``.
 
 Solutions decay like r^-4, so plain grid quadrature of int u misses an
 O(1/r_max) tail. Integrals of u carry a tail-and-image correction whose
@@ -167,8 +167,7 @@ class SolutionState:
 
     def solve_frakKe(self, payload: RadialField, what: str) -> RadialField:
         """fK_e payload at this state, to INNER_TOL."""
-        return require_converged(apply_frakKe(payload, self.context, tol=INNER_TOL),
-                                 f"fK_e solve for {what}")
+        return require_converged(apply_frakKe(payload, self.context), f"fK_e solve for {what}")
 
     @cached_property
     def frakKe_v(self) -> RadialField:
@@ -333,6 +332,19 @@ def corrected_field_integral(values: np.ndarray, grid: RadialGrid, tail: TailMod
 # the two schemes
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Solved:
+    """A fixed point and how it was reached, in SolutionState's field names."""
+
+    u: np.ndarray
+    rho: float
+    iterations: int
+    scheme_used: str
+    history: list       # max|G(u) - u| (k-space) or max|d| (Newton) per step
+    monotone_iterates: bool | None = None
+    cross_check: float | None = None
+
+
 def _constraint_integral(v: Potential, u_values: np.ndarray, grid: RadialGrid) -> float:
     """int (1-u) v dx, with the algebraic tail of v restored when present."""
     s_values = (1.0 - u_values) * v.samples.values
@@ -408,8 +420,9 @@ def _kspace_map(v: Potential, e: float, grid: RadialGrid):
     return step
 
 
-def _fourier_iteration(v: Potential, e: float, grid: RadialGrid, u0: np.ndarray | None):
-    """Self-consistent k-space iteration; returns (u, rho, iterations, history).
+def _fourier_iteration(v: Potential, e: float, grid: RadialGrid,
+                       u0: np.ndarray | None) -> Solved:
+    """Self-consistent k-space iteration.
 
     Type-II Anderson mixing (Walker & Ni 2011) of the closed-form map G: the
     next iterate is G(u) - dG gamma, where gamma fits f = G(u) - u in least
@@ -436,7 +449,7 @@ def _fourier_iteration(v: Potential, e: float, grid: RadialGrid, u0: np.ndarray 
             raise ConvergenceError(
                 f"k-space iterate is not finite on step {it}", history=history)
         if delta <= _OUTER_TOL:
-            return g, rho, it, history
+            return Solved(g, rho, it, FOURIER, history)
         if it - 1 - int(np.argmin(history)) >= _STALL_WINDOW:
             raise ConvergenceError(
                 f"k-space iteration stalled: no new minimum of max|G(u) - u| in "
@@ -478,9 +491,9 @@ def _moment_weights(v: Potential, grid: RadialGrid) -> np.ndarray:
     return weights
 
 
-def _monotone_iteration(v: Potential, e: float, grid: RadialGrid):
+def _monotone_iteration(v: Potential, e: float, grid: RadialGrid) -> Solved:
     """Monotone Newton (Ortega & Rheinboldt 1970, 13.3) on the real-space system
-    from u_0 = 0; returns (u, rho, iterations, monotone, history).
+    from u_0 = 0; ``monotone_iterates`` says whether u and rho never fell.
 
     The residual R(u) = v + 2e rho u*u - (-Delta + v + 4e) u has the Newton
     operator J = A - rho^2 (u*u) l, l(w) = int v w, A = -Delta + v +
@@ -509,7 +522,7 @@ def _monotone_iteration(v: Potential, e: float, grid: RadialGrid):
     def solve(solved, what):
         return require_converged(solved, f"Newton {what} on step {it}", history)
 
-    d = require_converged(apply_Ke(v.samples, e, v, tol=INNER_TOL), "K_e v solve").values
+    d = require_converged(apply_Ke(v.samples, e, v), "K_e v solve").values
     u = np.zeros(grid.n)
     rho = _density(e, _constraint_integral(v, u, grid), history)
     monotone = True
@@ -552,7 +565,7 @@ def _monotone_iteration(v: Potential, e: float, grid: RadialGrid):
             except (ConvergenceError, InvariantViolation) as exc:
                 warnings.warn(f"closed-form tail step after Newton failed ({exc}); "
                               "keeping the Newton iterate", QualityWarning, stacklevel=3)
-            return u, rho, it, monotone, history
+            return Solved(u, rho, it, MONOTONE, history, monotone_iterates=monotone)
     raise ConvergenceError(
         f"monotone Newton did not reach {_OUTER_TOL} in "
         f"{_MAX_OUTER} iterations (last delta {history[-1]:.3e})",
@@ -560,40 +573,38 @@ def _monotone_iteration(v: Potential, e: float, grid: RadialGrid):
     )
 
 
-def _solve(v: Potential, e: float, config: SolverConfig, grid: RadialGrid,
-           u0: np.ndarray | None):
-    """Reach the fixed point at e on ``grid`` by the configured scheme, as
-    ``solve_fixed_e`` describes, but build no state; returns (u, rho,
-    iterations, scheme_used, monotone, gap). ``monotone`` is None when no
-    monotone construction ran, ``gap`` when no cross-validation did.
+def _solve(v: Potential, e: float, config: SolverConfig, u0: np.ndarray | None) -> Solved:
+    """Reach the fixed point at e on v's grid by the configured scheme, as
+    ``solve_fixed_e`` describes, but build no state. Cross-validation returns
+    the k-space record with both schemes' steps and the schemes' L-inf gap.
     """
+    if not np.any(v.samples.values):
+        raise InvariantViolation(f"v is 0 at every grid node (dr = {v.grid.dr:.6g}): the grid "
+                                 "steps over its support; decrease dr (raise n or lower r_max)")
     if config.scheme == CROSS_VALIDATED:
-        u_f, rho_f, it_f, _ = _fourier_iteration(v, e, grid, u0)
-        u_m, _, it_m, monotone, _ = _monotone_iteration(v, e, grid)
-        gap = float(np.max(np.abs(u_f - u_m)))
+        fourier = _fourier_iteration(v, e, v.grid, u0)
+        newton = _monotone_iteration(v, e, v.grid)
+        gap = float(np.max(np.abs(fourier.u - newton.u)))
         if gap > 1e-6:
             raise InvariantViolation(
                 f"scheme cross-validation failed: L-inf gap {gap:.3e} exceeds 1e-6"
             )
-        return u_f, rho_f, it_f + it_m, CROSS_VALIDATED, monotone, gap
-    scheme_used = MONOTONE
+        return replace(fourier, iterations=fourier.iterations + newton.iterations, cross_check=gap,
+                       scheme_used=CROSS_VALIDATED, monotone_iterates=newton.monotone_iterates)
     if config.scheme == FOURIER:
         try:
-            u, rho, it, _ = _fourier_iteration(v, e, grid, u0)
-            return u, rho, it, FOURIER, None, None
+            return _fourier_iteration(v, e, v.grid, u0)
         except ConvergenceError:
             warnings.warn(
                 "k-space iteration stalled; falling back to the monotone scheme",
                 QualityWarning, stacklevel=3,
             )
-            scheme_used = MONOTONE + "(fallback)"
-    u, rho, it, monotone, _ = _monotone_iteration(v, e, grid)
-    return u, rho, it, scheme_used, monotone, None
+        return replace(_monotone_iteration(v, e, v.grid), scheme_used=MONOTONE + "(fallback)")
+    return _monotone_iteration(v, e, v.grid)
 
 
-def _build_state(v: Potential, e: float, config: SolverConfig, grid: RadialGrid,
-                 u_values: np.ndarray, rho: float, iterations: int, scheme_used: str,
-                 monotone: bool | None, gap: float | None) -> SolutionState:
+def _build_state(v: Potential, e: float, config: SolverConfig, solved: Solved) -> SolutionState:
+    grid, u_values, rho = v.grid, solved.u, solved.rho
     u = RadialField(grid, u_values, POSITION)
     s_vals = np.maximum((1.0 - u_values) * v.samples.values, 0.0)
     S_hat = fourier_radial(RadialField(grid, s_vals, POSITION))
@@ -620,11 +631,11 @@ def _build_state(v: Potential, e: float, config: SolverConfig, grid: RadialGrid,
 
     return SolutionState(
         e=e, rho=rho, u=u, u_hat=rho_u_hat, u_conv=conv,
-        potential=v, config=config, iterations=iterations, scheme_used=scheme_used,
-        pde_residual=pde_residual, constraint_residual=constraint_residual,
-        tail_mass=tail_mass, integral_u=integral_u,
+        potential=v, config=config, iterations=solved.iterations,
+        scheme_used=solved.scheme_used, pde_residual=pde_residual,
+        constraint_residual=constraint_residual, tail_mass=tail_mass, integral_u=integral_u,
         beta_curvature=beta_curvature, s_moment2=m2_s, radicand_min=radicand_min,
-        tail=tail, cross_check=gap, monotone_iterates=monotone,
+        tail=tail, cross_check=solved.cross_check, monotone_iterates=solved.monotone_iterates,
     )
 
 
@@ -643,13 +654,12 @@ def solve_fixed_e(v: Potential, e: float, config: SolverConfig | None = None,
     r_max = config.r_max_for(e)
     if (config.n, r_max) != (v.grid.n, v.grid.r_max):
         v = v.resampled(make_grid(config.n, r_max))
-    grid = v.grid
     u0_values = None
     if u0 is not None:
-        if u0.grid != grid:
+        if u0.grid != v.grid:
             raise ConfigurationError("warm start field lives on a different grid")
         u0_values = u0.values
-    return _build_state(v, e, config, grid, *_solve(v, e, config, grid, u0_values))
+    return _build_state(v, e, config, _solve(v, e, config, u0_values))
 
 
 # ---------------------------------------------------------------------------
@@ -707,9 +717,9 @@ def u_prime_integral(state: SolutionState, uprime: RadialField,
     return corrected_field_integral(uprime.values, grid, TailModel(c4p, c6p, state.tail.window))
 
 
-def rho_prime_fd(v: Potential, state: SolutionState) -> float:
-    """Centered finite difference of rho(e) by two re-solves at e +- de,
-    de = _FD_REL_STEP e, on the state's grid.
+def rho_prime_fd(state: SolutionState) -> float:
+    """Centered finite difference of rho(e) by two re-solves of the state's
+    potential at e +- de, de = _FD_REL_STEP e, on the state's grid.
 
     Only rho is kept, so neither re-solve builds a state. They start from the
     tangent u(e) +- de u'(e), which is O(de^2) from either answer; u' costs one
@@ -717,11 +727,10 @@ def rho_prime_fd(v: Potential, state: SolutionState) -> float:
     each re-solve still iterates to its own fixed point.
     """
     de = _FD_REL_STEP * state.e
-    v = v.resampled(state.grid)
-    u = state.u.values
+    v, u = state.potential, state.u.values
     du = de * u_prime(state, rho_prime(state)).values
-    _, rho_hi, *_ = _solve(v, state.e + de, state.config, v.grid, u + du)
-    _, rho_lo, *_ = _solve(v, state.e - de, state.config, v.grid, u - du)
+    rho_hi = _solve(v, state.e + de, state.config, u + du).rho
+    rho_lo = _solve(v, state.e - de, state.config, u - du).rho
     return float((rho_hi - rho_lo) / (2.0 * de))
 
 
@@ -800,7 +809,7 @@ def sweep(v: Potential, e_values, config: SolverConfig | None = None,
             row.e_rho = float(e) * state.rho
             row.rho_prime_analytic = rho_prime(state)
             if fd_check:
-                row.rho_prime_fd = rho_prime_fd(v, state)
+                row.rho_prime_fd = rho_prime_fd(state)
             u_prev = state.u
         except (ConvergenceError, InvariantViolation) as exc:
             row.error = str(exc)
@@ -858,31 +867,26 @@ def solve_fixed_rho(v: Potential, rho_target: float,
     cfg = replace(config, r_max=grid.r_max)
     v = v.resampled(grid)
 
-    cache: dict[float, tuple] = {}      # e -> what _solve returned there
+    cache: dict[float, Solved] = {}
     warm: list = [None]
 
     def rho_defect(e: float) -> float:
         if e not in cache:      # brentq re-evaluates the bracket ends
-            cache[e] = _solve(v, e, cfg, v.grid, warm[0])
-            warm[0] = cache[e][0]
-        return cache[e][1] / rho_target - 1.0
+            cache[e] = _solve(v, e, cfg, warm[0])
+            warm[0] = cache[e].u
+        return cache[e].rho / rho_target - 1.0
 
     def root_state(e: float) -> SolutionState:
-        solved = cache.get(e) or _solve(v, e, cfg, v.grid, warm[0])
-        defect = abs(solved[1] - rho_target) / rho_target
+        solved = cache.get(e) or _solve(v, e, cfg, warm[0])
+        defect = abs(solved.rho - rho_target) / rho_target
         if defect > _INVERSION_RTOL:
             raise ConvergenceError(
                 f"density inversion stopped at |rho - target|/target = {defect:.3e}"
             )
-        return _build_state(v, e, cfg, v.grid, *solved)
+        return _build_state(v, e, cfg, solved)
 
-    f_lo = rho_defect(e_lo)
-    f_hi = rho_defect(e_hi)
-    if f_lo == 0.0:
-        return root_state(e_lo)
-    if f_hi == 0.0:
-        return root_state(e_hi)
-    if f_lo * f_hi > 0:
+    # a bracket end with rho exactly on target is brentq's root, read from the cache
+    if rho_defect(e_lo) * rho_defect(e_hi) > 0:
         # non-monotone or bracket-degenerate: scan for sign changes
         scan = np.geomspace(e_lo / 4.0, e_hi * 4.0, 25)
         values = [rho_defect(float(e)) for e in scan]
@@ -899,7 +903,6 @@ def solve_fixed_rho(v: Potential, rho_target: float,
             )
         i = crossings[0]
         e_lo, e_hi = float(scan[i]), float(scan[i + 1])
-        f_lo, f_hi = values[i], values[i + 1]
 
     e_root = brentq(rho_defect, e_lo, e_hi, xtol=1e-300, rtol=1e-14, maxiter=200)
     return root_state(float(e_root))

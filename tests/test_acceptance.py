@@ -360,7 +360,7 @@ def test_criterion_14_u_prime_identity(uprime_state):
     total = u_prime_integral(st, up, rp)
     target = -rp / st.rho**2
     mass_rel = abs(total - target) / abs(target)
-    fd = rho_prime_fd(st.potential, st)
+    fd = rho_prime_fd(st)
     fd_rel = abs(rp - fd) / abs(fd)
     ok = constraint_rel <= 1e-6 and mass_rel <= 1e-6 and fd_rel <= 0.01
     assert _report(14, "u-prime-identity", ok,

@@ -97,6 +97,16 @@ class TestRunModes:
         assert code == 4
         assert "increase r_max" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", [["--mode", "solve", "--e", "0.1"],
+                                      ["--mode", "invert", "--rho", "0.05"]])
+    def test_potential_between_grid_nodes_exits_4(self, tmp_path, capsys, mode):
+        # a width-1e-6 Gaussian is 0 at every node: the k-space iterate
+        # overshot u = 1, the Newton fallback too, and the run exited 3
+        code = main(mode + ["--potential", "gaussian", "--amp", "1", "--width", "1e-6",
+                            "--grid-n", "4095", "--out", str(tmp_path / "narrow")])
+        assert code == 4
+        assert "v is 0 at every grid node (dr = 0.308816)" in capsys.readouterr().err
+
     def test_bracket_violation_exits_4_without_grid_hint(self, tmp_path, capsys):
         # rho = 5.14e-3 against 4e/||v||_1 = 3.59e-3 on this grid and on finer
         # ones, so the message must not send the user to refine the grid

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -106,15 +107,47 @@ class TestSchemes:
         assert state.monotone_iterates
         assert state.scheme_used == MONOTONE
 
+    @pytest.mark.parametrize("scheme, stall, label", [
+        (FOURIER, False, FOURIER), (FOURIER, True, MONOTONE + "(fallback)"),
+        (MONOTONE, False, MONOTONE), (CROSS_VALIDATED, False, CROSS_VALIDATED)])
+    def test_solve_record(self, gauss_small, monkeypatch, scheme, stall, label):
+        # what _solve returns for each scheme; a stall window of 0 makes the
+        # k-space iteration hand over after its first step
+        runs = {}
+        for name in ("_fourier_iteration", "_monotone_iteration"):
+            def recording(*args, inner=getattr(solver, name), name=name):
+                runs[name] = inner(*args)
+                return runs[name]
+            monkeypatch.setattr(solver, name, recording)
+        if stall:
+            monkeypatch.setattr(solver, "_STALL_WINDOW", 0)
+        config = SolverConfig(n=2047, r_max=60.0, scheme=scheme)
+        v = gauss_small.resampled(config.grid_for(0.3))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solved = solver._solve(v, 0.3, config, None)
+        assert [str(w.message) for w in caught] == (
+            ["k-space iteration stalled; falling back to the monotone scheme"] if stall else [])
+        newton = runs.get("_monotone_iteration")
+        assert solved.scheme_used == label
+        assert (solved.monotone_iterates is None) == (newton is None)
+        assert (solved.cross_check is None) == (scheme != CROSS_VALIDATED)
+        assert solved.history[-1] <= solver._OUTER_TOL
+        if scheme == CROSS_VALIDATED:
+            fourier = runs["_fourier_iteration"]
+            assert solved.iterations == fourier.iterations + newton.iterations
+            assert solved.u is fourier.u and solved.rho == fourier.rho
+            assert solved.monotone_iterates and solved.cross_check <= 1e-6
+
     def test_fourier_matches_monotone_rho(self, gauss_small):
         config = SolverConfig(n=2047, r_max=60.0)
         grid = config.grid_for(0.3)
         v = gauss_small.resampled(grid)
-        u_f, rho_f, _, _ = _fourier_iteration(v, 0.3, grid, None)
-        u_m, rho_m, _, mono, _ = _monotone_iteration(v, 0.3, grid)
-        assert mono
-        assert abs(rho_f - rho_m) / rho_f < 5e-9
-        assert np.max(np.abs(u_f - u_m)) < 1e-8
+        fourier = _fourier_iteration(v, 0.3, grid, None)
+        newton = _monotone_iteration(v, 0.3, grid)
+        assert newton.monotone_iterates
+        assert abs(fourier.rho - newton.rho) / fourier.rho < 5e-9
+        assert np.max(np.abs(fourier.u - newton.u)) < 1e-8
 
     def test_fallback_on_stiff_case(self):
         # the first k-space iterate overshoots u = 1 on the whole support of
@@ -150,11 +183,11 @@ class TestMonotoneNewton:
             iterates.append(u_values.copy())
             return inner(v, u_values, grid)
 
-        u_f, _, _, _ = _fourier_iteration(gauss_small, 0.3, grid, None)
+        u_f = _fourier_iteration(gauss_small, 0.3, grid, None).u
         monkeypatch.setattr(solver, "_constraint_integral", recording)
-        _, _, iterations, monotone, _ = _monotone_iteration(gauss_small, 0.3, grid)
-        assert monotone
-        assert len(iterates) == iterations + 1
+        newton = _monotone_iteration(gauss_small, 0.3, grid)
+        assert newton.monotone_iterates
+        assert len(iterates) == newton.iterations + 1
         assert not np.any(iterates[0])                  # u_0 = 0
         for prev, cur in zip(iterates, iterates[1:]):
             assert np.min(cur - prev) >= -1e-9
@@ -162,10 +195,9 @@ class TestMonotoneNewton:
 
     def test_step_count(self, gauss_small):
         # the Picard construction took more than 100 steps here
-        _, _, iterations, _, history = _monotone_iteration(
-            gauss_small, 0.3, gauss_small.grid)
-        assert iterations <= 12
-        assert history[-1] <= solver._OUTER_TOL
+        newton = _monotone_iteration(gauss_small, 0.3, gauss_small.grid)
+        assert newton.iterations <= 12
+        assert newton.history[-1] <= solver._OUTER_TOL
 
     def test_newton_solves_build_no_fields(self, gauss_small, monkeypatch):
         # the Newton solves pass raw arrays, so no solve builds a RadialField;
@@ -192,14 +224,14 @@ class TestMonotoneNewton:
                 raise InvariantViolation("radicand went negative")
             return step
 
-        _, rho_polished, *_ = _monotone_iteration(gauss_small, 0.3, gauss_small.grid)
+        polished = _monotone_iteration(gauss_small, 0.3, gauss_small.grid)
         monkeypatch.setattr(solver, "_constraint_integral", recording)
         monkeypatch.setattr(solver, "_kspace_map", failing_map)
         with pytest.warns(QualityWarning, match="keeping the Newton iterate"):
-            u, rho, _, _, history = _monotone_iteration(gauss_small, 0.3, gauss_small.grid)
-        np.testing.assert_array_equal(u, iterates[-1])
-        assert rho == rho_polished
-        assert history[-1] <= solver._OUTER_TOL
+            newton = _monotone_iteration(gauss_small, 0.3, gauss_small.grid)
+        np.testing.assert_array_equal(newton.u, iterates[-1])
+        assert newton.rho == polished.rho
+        assert newton.history[-1] <= solver._OUTER_TOL
 
     def test_strong_newton_takes_few_cg_iterations(self, monkeypatch):
         # 88 CG iterations per solve under the kM^-1 preconditioner; v on 155
@@ -207,11 +239,10 @@ class TestMonotoneNewton:
         solves = record_newton_solves(monkeypatch)
         config = SolverConfig(n=16383, r_max=600.0, scheme=MONOTONE)
         grid = config.grid_for(0.01)
-        _, rho, _, monotone, _ = _monotone_iteration(
-            gaussian_potential(1e4, 1.0, grid), 0.01, grid)
-        assert monotone
+        newton = _monotone_iteration(gaussian_potential(1e4, 1.0, grid), 0.01, grid)
+        assert newton.monotone_iterates
         assert np.mean([iterations for iterations, _ in solves]) <= 3.0
-        assert rho == pytest.approx(3.8902908552506174e-04, rel=1e-12)
+        assert newton.rho == pytest.approx(3.8902908552506174e-04, rel=1e-12)
 
     @pytest.mark.parametrize("n", [51199, 71999])
     def test_newton_tail_normalizes(self, n):
@@ -296,7 +327,7 @@ class TestNewtonStep:
         # the Gaussian 232 nodes (corrected)
         grid = make_grid(4095, 100.0)
         v = make(grid)
-        u = 0.5 * _fourier_iteration(v, 0.3, grid, None)[0]
+        u = 0.5 * _fourier_iteration(v, 0.3, grid, None).u
         rho = solver._density(0.3, solver._constraint_integral(v, u, grid), [])
         system = newton_step_system(v, 0.3, grid, u, rho)
         resolvent, multiplier, residual, conv = system
@@ -324,11 +355,11 @@ class TestNewtonStep:
             return out
 
         monkeypatch.setattr(operators.Resolvent, "solve_rank_one", recorded)
-        _, rho, iterations, monotone, history = _monotone_iteration(v, 0.05, grid)
-        assert monotone
-        assert len(deltas) == iterations - 1
+        newton = _monotone_iteration(v, 0.05, grid)
+        assert newton.monotone_iterates
+        assert len(deltas) == newton.iterations - 1
         assert max(deltas) <= 0.0
-        assert (rho, history) == reference
+        assert (newton.rho, newton.history) == reference
 
     def test_nonpositive_denominator_is_a_convergence_error(self, gauss_small, monkeypatch):
         # delta_M <= 0 sends each step to the two CG solves; inflating their
@@ -375,10 +406,9 @@ class TestNewtonStep:
 class TestAndersonIteration:
     def test_cold_iteration_count(self, gauss_small):
         # 13 iterations under the damped fixed point, 6 with Anderson mixing
-        _, _, iterations, history = _fourier_iteration(
-            gauss_small, 0.3, gauss_small.grid, None)
-        assert iterations <= 8
-        assert history[-1] <= solver._OUTER_TOL
+        fourier = _fourier_iteration(gauss_small, 0.3, gauss_small.grid, None)
+        assert fourier.iterations <= 8
+        assert fourier.history[-1] <= solver._OUTER_TOL
 
     def test_warm_fd_resolve_count(self, gauss_small, monkeypatch):
         # 8 k-space steps per warm re-solve from u under the damped fixed
@@ -390,11 +420,11 @@ class TestAndersonIteration:
 
         def counting(*args):
             out = inner(*args)
-            counts.append(out[2])
+            counts.append(out.iterations)
             return out
 
         monkeypatch.setattr(solver, "_fourier_iteration", counting)
-        rho_prime_fd(gauss_small, state)
+        rho_prime_fd(state)
         assert len(counts) == 2
         hi, lo = counts
         assert hi <= 2
@@ -414,13 +444,13 @@ class TestAndersonIteration:
             return inner(x)
 
         monkeypatch.setattr(solver, "dst1", recording)
-        u, rho, iterations, history = _fourier_iteration(v, 0.01, grid, None)
+        fourier = _fourier_iteration(v, 0.01, grid, None)
         forward = clamped[::2]           # r*S; the odd calls carry k*uhat
-        assert len(forward) == iterations
+        assert len(forward) == fourier.iterations
         assert any(forward[2:])          # from iteration 3 on, u is a mixed iterate
-        assert np.all(np.isfinite(u)) and np.isfinite(rho)
-        assert np.all(np.isfinite(history))
-        assert iterations < solver._MAX_OUTER
+        assert np.all(np.isfinite(fourier.u)) and np.isfinite(fourier.rho)
+        assert np.all(np.isfinite(fourier.history))
+        assert fourier.iterations < solver._MAX_OUTER
 
     def test_non_finite_iterate_is_a_convergence_error(self, gauss_small, monkeypatch):
         # a NaN from the inverse transform of step 2 reaches max|G(u) - u|
@@ -506,7 +536,7 @@ class TestDerivatives:
 
     def test_rho_prime_against_centered_fd(self, state_gauss):
         rp = rho_prime(state_gauss)
-        fd = rho_prime_fd(state_gauss.potential, state_gauss)
+        fd = rho_prime_fd(state_gauss)
         assert rp == pytest.approx(fd, rel=0.01)
 
     def test_rho_prime_denominator_in_unit_interval(self, state_explicit):
@@ -550,12 +580,12 @@ class TestDerivatives:
         # (a start from u), moves the difference only by the stopping rule's
         # error; a 1% error in u' moves it by ~5e-8
         state = solve_fixed_e(gauss_small.resampled(config.grid_for(e)), e, config)
-        tangent = rho_prime_fd(state.potential, state)
+        tangent = rho_prime_fd(state)
         exact = solver.u_prime
         for scale in (0.9, 0.0):
             monkeypatch.setattr(solver, "u_prime", lambda st, rp, scale=scale: RadialField(
                 st.grid, scale * exact(st, rp).values, POSITION))
-            started = rho_prime_fd(state.potential, state)
+            started = rho_prime_fd(state)
             assert abs(started - tangent) <= 1e-6 * abs(tangent)
 
 
@@ -630,7 +660,7 @@ class TestSweep:
             def counting(v, e, grid, u0):
                 out = inner(v, e, grid, u0)
                 if e in e_values:
-                    steps[e] = out[2]
+                    steps[e] = out.iterations
                 return out
 
             monkeypatch.setattr(solver, "_fourier_iteration", counting)
