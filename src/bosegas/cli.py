@@ -33,7 +33,7 @@ from .potentials import (ExplicitSolutionSpec, explicit_potential,
 from .solver import (FOURIER, SCHEMES, SolverConfig, solve_fixed_e, solve_fixed_rho,
                      sweep)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 MODES = ("solve", "sweep", "invert", "observables", "audit", "validate-explicit")
 POTENTIALS = ("gaussian", "explicit", "tabulated")
@@ -174,23 +174,24 @@ def _csv_text(columns, rows) -> str:
     return buf.getvalue()
 
 
+def _json_rows(rows) -> list:
+    """The rows with null where the CSV writes nan or inf, which JSON cannot hold."""
+    return [[None if isinstance(x, float) and not np.isfinite(x) else x for x in row]
+            for row in rows]
+
+
 def emit(bundle: ReportBundle, fmt: str | None = None, out: str | None = None) -> list:
     """Write the bundle; returns the list of files written."""
     fmt = fmt or bundle.metadata.get("format", "csv")
     out = out or bundle.metadata.get("out", "report")
     written = []
     if fmt == "csv":
-        path = f"{out}.csv"
-        with open(path, "w") as fh:
-            fh.write(_csv_text(bundle.columns, bundle.rows))
-        written.append(path)
+        tables = [(f"{out}.csv", bundle.columns, bundle.rows)]
         if bundle.audit_rows:
-            path = f"{out}_audit.csv"
-            with open(path, "w") as fh:
-                fh.write(_csv_text(bundle.audit_columns, bundle.audit_rows))
-            written.append(path)
-        for key, (cols, rows) in bundle.momentum_tables.items():
-            path = f"{out}_momentum_{key}.csv"
+            tables.append((f"{out}_audit.csv", bundle.audit_columns, bundle.audit_rows))
+        tables += [(f"{out}_momentum_{key}.csv", cols, rows)
+                   for key, (cols, rows) in bundle.momentum_tables.items()]
+        for path, cols, rows in tables:
             with open(path, "w") as fh:
                 fh.write(_csv_text(cols, rows))
             written.append(path)
@@ -198,15 +199,15 @@ def emit(bundle: ReportBundle, fmt: str | None = None, out: str | None = None) -
         payload = {
             "schema_version": SCHEMA_VERSION,
             "metadata": bundle.metadata,
-            "table": {"columns": bundle.columns, "rows": bundle.rows},
-            "audit": {"columns": bundle.audit_columns, "rows": bundle.audit_rows},
-            "momentum": {k: {"columns": c, "rows": r}
+            "table": {"columns": bundle.columns, "rows": _json_rows(bundle.rows)},
+            "audit": {"columns": bundle.audit_columns, "rows": _json_rows(bundle.audit_rows)},
+            "momentum": {k: {"columns": c, "rows": _json_rows(r)}
                          for k, (c, r) in bundle.momentum_tables.items()},
             "warnings": bundle.warnings,
         }
         path = f"{out}.json"
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
+            json.dump(payload, fh, indent=1, sort_keys=True, allow_nan=False)
             fh.write("\n")
         written.append(path)
     else:

@@ -124,7 +124,8 @@ def tan_constant(state: SolutionState) -> float:
 
 
 def beta_moment(state: SolutionState) -> float:
-    """beta = rho int |x|^2 v (1-u) dx, with the algebraic tail of v restored."""
+    """beta = rho int |x|^2 v (1-u) dx, with the algebraic tail of v restored;
+    three times the ``beta_curvature`` of the r^-4 law."""
     return float(state.rho * state.s_moment2)
 
 
@@ -138,7 +139,8 @@ class DecayFit:
 
 
 def decay_constant(state: SolutionState) -> DecayFit:
-    """Tail law of rho*u against sqrt(2+beta)/(2 pi^2 sqrt(e)) r^-4.
+    """Tail law of rho*u against rho tail.c4 r^-4 = sqrt(2+beta)/(2 pi^2 sqrt(e)) r^-4
+    with beta = ``state.beta_curvature`` = (rho/3) int |x|^2 S, not ``beta_moment``.
 
     The fit window sits well inside the truncation radius (boundary images
     distort the outermost nodes) and beyond several healing lengths. With
@@ -164,9 +166,7 @@ def decay_constant(state: SolutionState) -> DecayFit:
     if not state.potential.x4v_finite:
         return DecayFit(measured, None, float(slope), window,
                         note="int |x|^4 v diverges: r^-4 amplitude law not applicable")
-    beta = beta_moment(state)
-    predicted = float(np.sqrt(2.0 + beta) / (2.0 * np.pi**2 * np.sqrt(state.e)))
-    return DecayFit(measured, predicted, float(slope), window)
+    return DecayFit(measured, float(state.rho * state.tail.c4), float(slope), window)
 
 
 @dataclass(frozen=True)

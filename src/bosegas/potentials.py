@@ -9,7 +9,7 @@ w''(r) = v(r) w(r) with w(0) = 0 and a0 = lim (r - w/w').
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -62,11 +62,10 @@ class Potential:
 
     # -- integrability ------------------------------------------------
 
-    def moment_finite(self, power: int) -> bool:
-        """Is int |x|^power v d^3x finite? Decided by the algebraic tail."""
-        if self.tail_power is None:
-            return True
-        return self.tail_power > 3 + power
+    def moment_finite(self, power: int, value_power: float = 1.0) -> bool:
+        """Is int |x|^power v^value_power d^3x finite at large |x|? Decided by
+        the algebraic tail: tail_power * value_power > 3 + power."""
+        return self.tail_power is None or self.tail_power * value_power > 3 + power
 
     @property
     def x4v_finite(self) -> bool:
@@ -80,17 +79,16 @@ class Potential:
 
     def _radial_integral(self, weight_power: int, value_power: float = 1.0) -> float:
         """int_0^inf 4 pi r^(2+weight_power) v(r)^value_power dr by adaptive
-        quadrature of the analytic profile (grid-independent)."""
-        if self.tail_power is not None:
-            decay = self.tail_power * value_power - 2 - weight_power
-            if decay <= 1:
-                return np.inf
-        upper = self.table_limit if self.table_limit is not None else np.inf
-        val, _ = quad(
-            lambda r: 4.0 * np.pi * r ** (2 + weight_power) * self.profile(r) ** value_power,
-            0.0, upper, limit=400,
-        )
-        return float(val)
+        quadrature of the analytic profile (grid-independent), in units of
+        range_hint, so that quad resolves a potential of any width:
+        scale^(3+weight_power) int 4 pi x^(2+weight_power) v(scale x)^value_power dx."""
+        if not self.moment_finite(weight_power, value_power):
+            return np.inf
+        scale, w, p = self.range_hint, weight_power, value_power
+        upper = self.table_limit / scale if self.table_limit is not None else np.inf
+        val, _ = quad(lambda x: 4.0 * np.pi * x ** (2 + w) * self.profile(scale * x) ** p,
+                      0.0, upper, limit=400)
+        return float(scale ** (3 + w) * val)
 
     @cached_property
     def norms(self) -> PotentialNorms:
@@ -98,7 +96,7 @@ class Potential:
             v_l1=self._radial_integral(0),
             v_l2=self._radial_integral(0, 2.0) ** 0.5 if self.l2_finite else np.inf,
             x2v_l1=self._radial_integral(2),
-            x4v_l1=self._radial_integral(4) if self.x4v_finite else np.inf,
+            x4v_l1=self._radial_integral(4),
         )
 
     @property
@@ -117,14 +115,7 @@ class Potential:
 
     def resampled(self, grid: RadialGrid) -> "Potential":
         """Same physical potential on another grid; itself on an equal one."""
-        if grid == self.grid:
-            return self
-        return Potential(
-            name=self.name, profile=self.profile, grid=grid,
-            tail_power=self.tail_power, tail_coeff=self.tail_coeff,
-            range_hint=self.range_hint, bounded=self.bounded,
-            table_limit=self.table_limit,
-        )
+        return self if grid == self.grid else replace(self, grid=grid)
 
 
 def gaussian_potential(amplitude: float, width: float, grid: RadialGrid) -> Potential:

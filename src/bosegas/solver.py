@@ -36,7 +36,8 @@ rho*uhat = 1 - sqrt(2+beta) kappa + O(kappa^2) with
 beta = -(rho/4e) d^2/dkappa^2 Shat(0) = (rho/3) int |x|^2 S dx, giving
 rho u ~ sqrt(2+beta)/(2 pi^2 sqrt(e)) r^-4. The grid's odd-periodization
 images of that tail are differences of Hurwitz zeta values, summed as their
-odd power series in r/2R and built once per grid (n, r_max).
+odd power series in r/2R and built once per grid (n, r_max). Moments of S
+with an algebraic v restore v's tail by fixed weights, also built once per grid.
 """
 
 from __future__ import annotations
@@ -134,7 +135,8 @@ class SolutionState:
     """Converged bundle (e, rho, u, transforms, diagnostics) of one solve.
 
     The operator context, fK_e v and the observables' denominator D are
-    computed on first use and kept for the state's lifetime.
+    computed on first use and kept for the state's lifetime. The r^-4 law
+    rho u ~ rho tail.c4 r^-4 = sqrt(2+beta)/(2 pi^2 sqrt(e)) r^-4 takes beta = beta_curvature.
     """
 
     e: float
@@ -148,9 +150,7 @@ class SolutionState:
     scheme_used: str
     pde_residual: float
     constraint_residual: float
-    tail_mass: float                # rho * (tail integral beyond r_max)
     integral_u: float               # tail- and image-corrected int u
-    beta_curvature: float           # -(rho/4e) d^2_kappa Shat(0)
     s_moment2: float                # int |x|^2 S, S = (1-u) v, tail of v restored
     radicand_min: float             # min over k of (kappa^2+1)^2 - (rho/2e) Shat(k)
     tail: TailModel
@@ -160,6 +160,16 @@ class SolutionState:
     @property
     def grid(self) -> RadialGrid:
         return self.u.grid
+
+    @property
+    def beta_curvature(self) -> float:
+        """(rho/3) int |x|^2 S = -(rho/4e) d^2_kappa Shat(0): the beta of ``tail.c4``."""
+        return self.rho * self.s_moment2 / 3.0
+
+    @property
+    def tail_mass(self) -> float:
+        """rho * (tail integral beyond r_max)."""
+        return self.rho * self.tail.tail_integral(self.grid.r_max)
 
     @cached_property
     def context(self) -> OperatorContext:
@@ -287,23 +297,30 @@ def _fit_c6(values: np.ndarray, grid: RadialGrid, c4: float,
     return float(np.dot(basis6, resid) / np.dot(basis6, basis6))
 
 
+@lru_cache(maxsize=8)
+def _tail_weights(grid: RadialGrid, tail_power: float, weight_power: int) -> np.ndarray:
+    """Read-only weights g with g . S[-g.size:] the integral beyond r_max of
+    4 pi r^(2+weight_power) (c1 r^-p + c2 r^-(p+2)), p = tail_power, fitted to S
+    over r >= r_max/2 by least squares. The fit is linear, (c1, c2) = pinv(B) S,
+    so g = pinv(B^T) t; built once per (grid, tail_power, weight_power)."""
+    p, w, R = tail_power, weight_power, grid.r_max
+    r = grid.r[grid.r >= 0.5 * R]
+    t = 4.0 * np.pi * np.array([R ** (3.0 + w - p) / (p - 3.0 - w),
+                                R ** (1.0 + w - p) / (p - 1.0 - w)])
+    g = np.linalg.lstsq(np.column_stack([r ** (-p), r ** (-p - 2.0)]).T, t, rcond=None)[0]
+    g.flags.writeable = False
+    return g
+
+
 def _s_moment(v: Potential, s_values: np.ndarray, grid: RadialGrid, weight_power: int) -> float:
     """int |x|^weight_power S d^3x with the algebraic tail of v restored."""
+    if not v.moment_finite(weight_power):
+        return np.inf
     base = grid.integrate(s_values if weight_power == 0 else grid.r**weight_power * s_values)
     if v.tail_power is None:
         return base
-    p = v.tail_power
-    if p - 2.0 - weight_power <= 1.0:
-        return np.inf
-    # S ~ c1 r^-p + c2 r^-(p+2), fitted over the trailing half-decade
-    sel = grid.r >= 0.5 * grid.r_max
-    r = grid.r[sel]
-    (c1, c2), *_ = np.linalg.lstsq(np.column_stack([r ** (-p), r ** (-p - 2.0)]),
-                                   s_values[sel], rcond=None)
-    R = grid.r_max
-    q1 = p - 3.0 - weight_power
-    q2 = p - 1.0 - weight_power
-    return base + 4.0 * np.pi * (c1 * R ** (-q1) / q1 + c2 * R ** (-q2) / q2)
+    tail = _tail_weights(grid, v.tail_power, weight_power)
+    return base + np.dot(tail, s_values[-tail.size:])
 
 
 def fit_tail_model(u_values: np.ndarray, grid: RadialGrid, e: float, rho: float,
@@ -475,19 +492,11 @@ def _fourier_iteration(v: Potential, e: float, grid: RadialGrid,
 
 def _moment_weights(v: Potential, grid: RadialGrid) -> np.ndarray:
     """The vector g with g . s = _s_moment(v, s, grid, 0) for every s: the
-    trapezoid weights plus the tail restoration, which is linear in s through
-    its least-squares fit, (c1, c2) = pinv(B) s."""
+    trapezoid weights plus the tail weights of ``_tail_weights``."""
     weights = 4.0 * np.pi * grid.dr * grid.r * grid.r
-    if v.tail_power is None:
-        return weights
-    p = v.tail_power
-    sel = grid.r >= 0.5 * grid.r_max
-    r = grid.r[sel]
-    R = grid.r_max
-    tail = 4.0 * np.pi * np.array([R ** (3.0 - p) / (p - 3.0), R ** (1.0 - p) / (p - 1.0)])
-    # tail . pinv(B) s = (pinv(B)^T tail) . s, and pinv(B)^T = pinv(B^T)
-    basis = np.column_stack([r ** (-p), r ** (-p - 2.0)])
-    weights[sel] += np.linalg.lstsq(basis.T, tail, rcond=None)[0]
+    if v.tail_power is not None:
+        tail = _tail_weights(grid, v.tail_power, 0)
+        weights[-tail.size:] += tail
     return weights
 
 
@@ -615,11 +624,8 @@ def _build_state(v: Potential, e: float, config: SolverConfig, solved: Solved) -
     constraint_residual = abs(constraint - 2.0 * e / rho) / (2.0 * e / rho)
 
     m2_s = _s_moment(v, s_vals, grid, 2)
-    beta_curvature = rho * m2_s / 3.0
-
-    tail = fit_tail_model(u_values, grid, e, rho, beta_curvature)
+    tail = fit_tail_model(u_values, grid, e, rho, rho * m2_s / 3.0)
     integral_u = corrected_field_integral(u_values, grid, tail)
-    tail_mass = rho * tail.tail_integral(grid.r_max)
 
     u_hat, conv, lap4e = _spectral_terms(u, e)
     rho_u_hat = RadialField(grid, np.clip(rho * u_hat, 0.0, 1.0), FREQUENCY)
@@ -633,9 +639,9 @@ def _build_state(v: Potential, e: float, config: SolverConfig, solved: Solved) -
         e=e, rho=rho, u=u, u_hat=rho_u_hat, u_conv=conv,
         potential=v, config=config, iterations=solved.iterations,
         scheme_used=solved.scheme_used, pde_residual=pde_residual,
-        constraint_residual=constraint_residual, tail_mass=tail_mass, integral_u=integral_u,
-        beta_curvature=beta_curvature, s_moment2=m2_s, radicand_min=radicand_min,
-        tail=tail, cross_check=solved.cross_check, monotone_iterates=solved.monotone_iterates,
+        constraint_residual=constraint_residual, integral_u=integral_u, s_moment2=m2_s,
+        radicand_min=radicand_min, tail=tail, cross_check=solved.cross_check,
+        monotone_iterates=solved.monotone_iterates,
     )
 
 

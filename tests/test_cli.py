@@ -275,7 +275,7 @@ class TestEmission:
         config, result = bundle
         emit(result, "json", str(tmp_path / "r"))
         payload = json.loads((tmp_path / "r.json").read_text())
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         loaded = dict(zip(payload["table"]["columns"], payload["table"]["rows"][0]))
         original = dict(zip(result.columns, result.rows[0]))
         for key, value in original.items():
@@ -283,6 +283,26 @@ class TestEmission:
                 assert loaded[key] == value    # exact float round trip
             else:
                 assert str(loaded[key]) == str(value)
+
+    def test_sweep_json_is_strict(self, tmp_path):
+        # the edge rows' rho_prime_fd and convexity_indicator are nan, which
+        # the bundle wrote as bare NaN tokens; the CSV keeps writing nan
+        code = main(["--mode", "sweep"] + GAUSS
+                    + ["--e-min", "0.01", "--e-max", "1", "--e-steps", "3", "--grid-n", "4095",
+                       "--format", "json", "--out", str(tmp_path / "sw")])
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        with open(tmp_path / "sw.json") as fh:
+            payload = json.load(fh, parse_constant=reject)
+        columns = payload["table"]["columns"]
+        rows = [dict(zip(columns, row)) for row in payload["table"]["rows"]]
+        assert [row["rho_prime_fd"] for row in rows][::2] == [None, None]
+        assert [row["convexity_indicator"] for row in rows][::2] == [None, None]
+        assert all(isinstance(rows[1][key], float)
+                   for key in ("rho_prime_fd", "convexity_indicator"))
 
     def test_csv_17_digits(self, bundle, tmp_path):
         _, result = bundle

@@ -214,6 +214,16 @@ class TestDecayConstant:
         assert fit.measured_amplitude / fit.predicted_amplitude == pytest.approx(
             1.0, abs=0.05)
 
+    def test_gaussian_amplitude_law_at_e1(self, gauss_small):
+        # the law's beta is (rho/3) int |x|^2 S; with beta_moment, three times
+        # that, the prediction was 0.1140 against a measured 0.0880
+        config = SolverConfig(n=16383, r_max=240.0)
+        state = solve_fixed_e(gauss_small.resampled(config.grid_for(1.0)), 1.0, config)
+        fit = decay_constant(state)
+        assert fit.measured_amplitude / fit.predicted_amplitude == pytest.approx(
+            1.0, abs=0.01)
+        assert fit.predicted_amplitude == state.rho * state.tail.c4
+
 
 class TestLHY:
     def test_coefficient_value(self):

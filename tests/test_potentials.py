@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from bosegas import (ConfigurationError, ConvergenceError, ExplicitSolutionSpec,
-                     QualityWarning, explicit_potential, gaussian_potential,
-                     potential_from_file, scattering_identity_defect,
-                     scattering_length, tabulated_potential)
+                     InvariantViolation, QualityWarning, explicit_potential,
+                     gaussian_potential, make_grid, potential_from_file,
+                     scattering_identity_defect, scattering_length, solve_fixed_rho,
+                     tabulated_potential)
 from bosegas.potentials import (_BLOCK, EXPLICIT_SHARP_CONDITION, Potential,
                                 _integrate_scattering, _log_derivative_radius)
 
@@ -63,6 +64,17 @@ class TestGaussian:
 
     def test_l2_norm(self, gauss_small):
         assert gauss_small.norms.v_l2 == pytest.approx((np.pi / 2) ** 0.75, rel=1e-10)
+
+    def test_narrow_gaussian_norms(self):
+        # quad over r saw exp(-r^2/w^2) as 0 and returned all-zero norms, so
+        # the inversion bracketed [0, 0] and raised a ConfigurationError
+        w = 1e-6
+        v = gaussian_potential(1.0, w, make_grid(4095, 1000.0))
+        assert v.norms.v_l1 == pytest.approx(np.pi**1.5 * w**3, rel=1e-12)
+        assert v.norms.v_l2 == pytest.approx((np.pi / 2) ** 0.75 * w**1.5, rel=1e-12)
+        assert v.norms.x2v_l1 == pytest.approx(1.5 * np.pi**1.5 * w**5, rel=1e-12)
+        with pytest.raises(InvariantViolation, match="v is 0 at every grid node"):
+            solve_fixed_rho(v, 0.05)
 
     def test_rejects_zero_amplitude(self, grid_small):
         with pytest.raises(ConfigurationError):

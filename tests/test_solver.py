@@ -738,6 +738,50 @@ class TestTailImages:
             np.testing.assert_allclose(_image_sum(r, grid.r_max, power), expected,
                                        rtol=1e-14, atol=0.0)
 
+    def test_explicit_r4_amplitude_is_the_closed_form(self, state_explicit, explicit_spec):
+        # u = c/(1+b^2 r^2)^2 at rho = b^3/(c pi^2): rho u ~ r^-4/(pi^2 b)
+        assert state_explicit.rho * state_explicit.tail.c4 == pytest.approx(
+            1.0 / (np.pi**2 * explicit_spec.b), rel=1e-6)
+
+    @pytest.mark.parametrize("weight_power", [0, 2])
+    def test_tail_weights_are_the_least_squares_fit(self, explicit_spec, weight_power):
+        # reference: fit S ~ c1 r^-6 + c2 r^-8 over r >= r_max/2 and integrate
+        # 4 pi r^(2+w) times the fit from r_max to infinity
+        grid = make_grid(4095, 100.0)
+        v = explicit_potential(explicit_spec, grid)
+        sel, R, w = grid.r >= 0.5 * grid.r_max, grid.r_max, weight_power
+        r = grid.r[sel]
+        weights = solver._tail_weights(grid, 6.0, w)
+        for s in (v.samples.values, (1.0 + grid.r**2) ** -3.0 * (1.0 + np.cos(grid.r)),
+                  v.samples.values * (1.0 - 0.5 / (1.0 + grid.r**2) ** 2)):
+            (c1, c2), *_ = np.linalg.lstsq(np.column_stack([r**-6.0, r**-8.0]), s[sel],
+                                           rcond=None)
+            tail = 4.0 * np.pi * (c1 * R ** (w - 3.0) / (3.0 - w)
+                                  + c2 * R ** (w - 5.0) / (5.0 - w))
+            assert np.dot(weights, s[sel]) == pytest.approx(tail, rel=1e-12)
+            assert solver._s_moment(v, s, grid, w) == pytest.approx(
+                grid.integrate(grid.r**w * s) + tail, rel=1e-15)
+
+    def test_v_tail_fitted_once_per_weight_power(self, explicit_spec, monkeypatch):
+        # the fit S ~ c1 r^-6 + c2 r^-8 is one weight vector per grid and
+        # weight power (0: the constraint and Newton's l; 2: beta), not one
+        # least-squares solve per k-space step, Newton step or state; no other
+        # test uses this grid, so its weights are not cached yet
+        config = SolverConfig(n=4095, r_max=100.5, scheme=CROSS_VALIDATED)
+        v = explicit_potential(explicit_spec, config.grid_for(1.0))
+        lstsq, fits = np.linalg.lstsq, []
+
+        def counting(a, b, rcond=None):
+            if min(a.shape) == 2 < max(a.shape):     # not Anderson's 2 x 2 Gram matrix
+                fits.append(a.shape)
+            return lstsq(a, b, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        state = solve_fixed_e(v, 1.0, config)
+        solve_fixed_e(v, 0.9, config, u0=state.u)
+        assert state.iterations > 10
+        assert len(fits) == 2
+
     def test_built_lazily_once_per_grid_and_read_only(self, gauss_small):
         config = SolverConfig(n=2047, r_max=61.0)
         _grid_images.cache_clear()
