@@ -119,23 +119,33 @@ def dst1(x) -> np.ndarray:
     For n+1 = 2M even and n >= _DST_SPLIT_MIN the outputs split exactly
     (1-based, j = 1..M-1): X_2l is the DST-I of x_j - x_{N-j} (length M-1,
     split again while large) and X_{2l-1} the DST-III of x_j + x_{N-j} with
-    last entry 2 x_M (length M). Both halves are plain scipy transforms.
+    last entry 2 x_M (length M). Both halves are plain scipy transforms, run
+    in place and written into strided views of one output array.
     """
-    return _dst1_split(np.asarray(x))
-
-
-def _dst1_split(x: np.ndarray) -> np.ndarray:
-    n = x.shape[-1]
-    if n < _DST_SPLIT_MIN or n % 2 == 0 or x.dtype != np.float64:
+    x = np.asarray(x)
+    if not _splits(x.shape[-1]) or x.dtype != np.float64:
         return dst(x, type=1)
-    m = (n + 1) // 2
+    return _dst1_split(x, np.empty(x.shape))
+
+
+def _splits(n: int) -> bool:
+    return n >= _DST_SPLIT_MIN and n % 2 == 1
+
+
+def _dst1_split(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """dst(x, type=1) written into ``out``, a view of x's shape; both halves
+    are transformed in place in one buffer, the sums' first."""
+    m = (x.shape[-1] + 1) // 2
     lo, hi = x[..., :m - 1], x[..., :m - 1:-1]
-    out = np.empty(x.shape)
-    out[..., 1::2] = _dst1_split(lo - hi)
     s = np.empty(x.shape[:-1] + (m,))
     np.add(lo, hi, out=s[..., :-1])
     s[..., -1] = 2.0 * x[..., m - 1]
     out[..., ::2] = dst(s, type=3, overwrite_x=True)
+    d = np.subtract(lo, hi, out=s[..., :-1])
+    if _splits(m - 1):
+        _dst1_split(d, out[..., 1::2])
+    else:
+        out[..., 1::2] = dst(d, type=1, overwrite_x=True)
     return out
 
 

@@ -143,9 +143,9 @@ def decay_constant(state: SolutionState) -> DecayFit:
     with beta = ``state.beta_curvature`` = (rho/3) int |x|^2 S, not ``beta_moment``.
 
     The fit window sits well inside the truncation radius (boundary images
-    distort the outermost nodes) and beyond several healing lengths. With
-    int |x|^4 v infinite the r^-4 law does not hold and only the measured
-    side is returned.
+    distort the outermost nodes) and beyond several healing lengths. The law
+    needs int |x|^2 v finite (beta); without it only the measured side is
+    returned.
     """
     grid = state.grid
     hi = 0.3 * grid.r_max
@@ -163,9 +163,9 @@ def decay_constant(state: SolutionState) -> DecayFit:
     y = np.log(vals)
     slope, intercept = np.polyfit(x, y, 1)
     measured = float(np.exp(np.mean(y + 4.0 * x)))
-    if not state.potential.x4v_finite:
+    if not state.potential.moment_finite(2):
         return DecayFit(measured, None, float(slope), window,
-                        note="int |x|^4 v diverges: r^-4 amplitude law not applicable")
+                        note="int |x|^2 v diverges: r^-4 amplitude law not applicable")
     return DecayFit(measured, float(state.rho * state.tail.c4), float(slope), window)
 
 

@@ -103,7 +103,7 @@ class OperatorContext:
     @cached_property
     def resolvent(self) -> Resolvent:
         """fK_e, built on first use and shared by every solve in this context."""
-        return Resolvent(self.grid, self.v.samples.values, self.multiplier())
+        return Resolvent(self.grid, self.v, self.multiplier())
 
 
 def _multiply_in_k(psi: RadialField, multiplier: np.ndarray) -> RadialField:
@@ -151,12 +151,12 @@ def _end(x: np.ndarray, limit: int):
 
 
 class Resolvent:
-    """(kM + v)^-1 on raw arrays, kM diagonal in k with entries ``multiplier``,
-    by conjugate gradients preconditioned with M^-1, M = kM + P D P^T on
-    y = r*w, where P selects the m nodes where v > _SUPPORT_RTOL max v and
-    D = diag(v) there; and (kM + v - c g^T)^-1, a rank-one update of it, by
-    GMRES preconditioned with (M - c g^T)^-1 (``solve_rank_one``). Both
-    kernels apply M^-1 through ``_precondition``.
+    """(kM + v)^-1 on raw arrays, kM diagonal in k with entries ``multiplier``
+    and v a Potential's samples, by conjugate gradients preconditioned with
+    M^-1, M = kM + P D P^T on y = r*w, where P selects the m nodes where
+    v > _SUPPORT_RTOL max v and D = diag(v) there; and (kM + v - c g^T)^-1, a
+    rank-one update of it, by GMRES preconditioned with (M - c g^T)^-1
+    (``solve_rank_one``). Both kernels apply M^-1 through ``_precondition``.
 
     As a matrix kM^-1 = dst1(dst1(.) q), q = 1/(2(n+1) multiplier) (DST-I
     twice is 2(n+1) times the identity), is Toeplitz minus Hankel,
@@ -173,12 +173,12 @@ class Resolvent:
     When the support of v has more than _SUPPORT_MAX nodes, m = 0 and M = kM.
     """
 
-    def __init__(self, grid: RadialGrid, v_values: np.ndarray, multiplier: np.ndarray):
-        self.grid, self.v_values = grid, v_values
-        support = np.flatnonzero(v_values > _SUPPORT_RTOL * np.max(v_values))
+    def __init__(self, grid: RadialGrid, v: Potential, multiplier: np.ndarray):
+        self.grid, self.v_values = grid, v.samples.values
+        support = np.flatnonzero(self.v_values > _SUPPORT_RTOL * np.max(self.v_values))
         self.support = support if support.size <= _SUPPORT_MAX else support[:0]
         self.reach = grid.n // max(self.support.size, 1)   # short solves: m L <= n
-        self.v_end = _end(v_values, self.reach) if self.support.size else None
+        self.v_end = v.extent if self.support.size and v.extent <= self.reach else None
         if self.support.size:
             n, last = grid.n, int(self.support[-1])
             unit = np.zeros(n)
@@ -191,7 +191,7 @@ class Resolvent:
             self.prefix = np.zeros(top + 3)
             self.prefix[2::2] = np.cumsum(column[:top + 1:2])
             self.prefix[3::2] = np.cumsum(column[1:top + 1:2])
-            self.d_half = np.sqrt(v_values[self.support])
+            self.d_half = np.sqrt(self.v_values[self.support])
             capacitance = self.d_half[:, None] * self._block(self.support)
             capacitance *= self.d_half
             capacitance[np.diag_indices_from(capacitance)] += 1.0
@@ -378,7 +378,7 @@ def apply_Ke(psi: RadialField, e: float, v: Potential,
     if e <= 0:
         raise ConfigurationError("apply_Ke needs e > 0")
     multiplier = psi.grid.k**2 + 4.0 * e
-    out, report = Resolvent(psi.grid, v.samples.values, multiplier).solve(
+    out, report = Resolvent(psi.grid, v, multiplier).solve(
         psi.values, multiplier, tol)
     return _output_field(psi, out, "K_e"), report
 

@@ -48,7 +48,7 @@ class Potential:
     tail_coeff: float | None = None
     range_hint: float = 1.0             # decay scale, used by the ODE solver
     bounded: bool = True                # False only for the c=1 closed form
-    table_limit: float | None = None    # tabulated data ends here
+    table_knots: tuple | None = None    # tabulated data: its spline knots in [0, end]
 
     def __post_init__(self):
         vals = np.asarray(self.profile(self.grid.r), dtype=float)
@@ -59,6 +59,12 @@ class Potential:
                 f"potential '{self.name}' is negative on the grid (repulsive v >= 0 required)"
             )
         self.samples = RadialField(self.grid, vals, POSITION)
+
+    @cached_property
+    def extent(self) -> int:
+        """1 + the last grid node where v is nonzero (0 if none): v is 0 from there on."""
+        nonzero = np.flatnonzero(self.samples.values)
+        return int(nonzero[-1]) + 1 if nonzero.size else 0
 
     # -- integrability ------------------------------------------------
 
@@ -78,16 +84,21 @@ class Potential:
         return self.bounded
 
     def _radial_integral(self, weight_power: int, value_power: float = 1.0) -> float:
-        """int_0^inf 4 pi r^(2+weight_power) v(r)^value_power dr by adaptive
-        quadrature of the analytic profile (grid-independent), in units of
-        range_hint, so that quad resolves a potential of any width:
-        scale^(3+weight_power) int 4 pi x^(2+weight_power) v(scale x)^value_power dx."""
+        """int_0^inf 4 pi r^(2+w) v(r)^p dr, w = weight_power, p = value_power,
+        grid-independent. A table is a cubic between its knots, so 8-point
+        Gauss-Legendre on each piece is exact (degree <= 15). Otherwise adaptive
+        quadrature of the profile in units of range_hint, so that quad resolves
+        a potential of any width: scale^(3+w) int 4 pi x^(2+w) v(scale x)^p dx."""
         if not self.moment_finite(weight_power, value_power):
             return np.inf
         scale, w, p = self.range_hint, weight_power, value_power
-        upper = self.table_limit / scale if self.table_limit is not None else np.inf
+        if self.table_knots is not None:
+            knots, (x, weights) = np.asarray(self.table_knots), np.polynomial.legendre.leggauss(8)
+            half = 0.5 * np.diff(knots)[:, None]
+            r = knots[:-1, None] + half * (1.0 + x)
+            return float(4.0 * np.pi * np.sum(half * weights * r ** (2 + w) * self.profile(r) ** p))
         val, _ = quad(lambda x: 4.0 * np.pi * x ** (2 + w) * self.profile(scale * x) ** p,
-                      0.0, upper, limit=400)
+                      0.0, np.inf, limit=400)
         return float(scale ** (3 + w) * val)
 
     @cached_property
@@ -247,7 +258,7 @@ def tabulated_potential(pairs, grid: RadialGrid) -> Potential:
 
     return Potential(
         name="tabulated", profile=profile, grid=grid, range_hint=max(r_last / 8.0, 1.0),
-        table_limit=r_last,
+        table_knots=tuple(np.concatenate(([0.0], r_tab[r_tab > 0])).tolist()),
     )
 
 
@@ -271,8 +282,8 @@ def potential_from_file(path, grid: RadialGrid) -> Potential:
 
 def _log_derivative_radius(v: Potential) -> float:
     """Integration endpoint for the scattering ODE."""
-    if v.table_limit is not None:
-        return v.table_limit
+    if v.table_knots is not None:
+        return v.table_knots[-1]
     if v.tail_power is not None:
         # algebraic tail: go far out, the residual is removed by a tail fit
         return 600.0 * v.range_hint

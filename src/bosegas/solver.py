@@ -390,46 +390,47 @@ def _spectral_terms(u: RadialField, e: float):
 def _kspace_map(v: Potential, e: float, grid: RadialGrid):
     """The closed-form map u -> (G(u), rho(u)) of the k-space scheme.
 
-    A step is one DST-I each way on raw arrays; the transform scales, a^2
-    and the radicand floor are formed once here, and no field is built.
-    ``history`` goes into the errors a step raises.
+    A step is one DST-I each way on raw arrays. S = (1-u) v, its integral and
+    (rho/2e) r S are formed on v's extent (v is 0 beyond it), the last in a kept
+    zero-padded input; no field is built. ``history`` goes into the errors a
+    step raises.
     """
-    r, k = grid.r, grid.k
+    r, k, L = grid.r, grid.k, v.extent
+    v_vals, r_L = v.samples.values[:L], r[:L]
+    weights = _moment_weights(v, grid)[:L].copy()
     # the transform pair's scales with DST-I's factor 2 folded in (exact)
     to_k = 2.0 * np.pi * grid.dr / k
     to_r = grid.dk / (4.0 * np.pi**2 * r)
     a = k**2 / (4.0 * e) + 1.0
     a2 = a * a
-    floor = -1e-12 * a * a
-    v_vals = v.samples.values
-    s, radicand = np.empty(grid.n), np.empty(grid.n)
+    rs, radicand = np.zeros(grid.n), np.empty(grid.n)
 
     def step(u: np.ndarray, history: list):
-        np.subtract(1.0, u, out=s)
-        np.multiply(s, v_vals, out=s)
         # transient u > 1 overshoot; clamped S keeps the radicand safe
-        np.maximum(s, 0.0, out=s)
-        rho = _density(e, _s_moment(v, s, grid, 0), history)
-        y = dst1(r * s)
-        y *= to_k
-        y *= rho / (2.0 * e)
-        np.subtract(a2, y, out=radicand)
-        bad = radicand < floor
-        if np.any(bad):
-            k_bad = k[int(np.argmax(bad))]
-            raise InvariantViolation(
-                f"radicand of the k-space root went negative at k = {k_bad:.6g} "
-                f"(min {np.min(radicand):.3e}); the grid under-resolves this "
-                "state - increase n and/or r_max"
-            )
-        np.maximum(radicand, 0.0, out=radicand)
+        s = np.maximum((1.0 - u[:L]) * v_vals, 0.0)
+        rho = _density(e, float(np.dot(weights, s)), history)
+        np.multiply(r_L, s, out=rs[:L])
+        rs[:L] *= rho / (2.0 * e)
+        y = dst1(rs)            # y = (rho/2e) Shat / to_k
+        np.multiply(to_k, y, out=radicand)
+        np.subtract(a2, radicand, out=radicand)
+        if radicand.min() < 0.0:
+            bad = radicand < -1e-12 * a * a
+            if np.any(bad):
+                k_bad = k[int(np.argmax(bad))]
+                raise InvariantViolation(
+                    f"radicand of the k-space root went negative at k = {k_bad:.6g} "
+                    f"(min {np.min(radicand):.3e}); the grid under-resolves this "
+                    "state - increase n and/or r_max"
+                )
+            np.maximum(radicand, 0.0, out=radicand)
         # a - sqrt(a^2 - y) cancels catastrophically at large k; this form
-        # keeps full relative precision in the spectral tail: y becomes rho*uhat
+        # keeps full relative precision in the spectral tail. y becomes
+        # k uhat = (k to_k / rho) y / (a + sqrt), with k to_k = 2 pi dr
         np.sqrt(radicand, out=radicand)
         np.add(radicand, a, out=radicand)
         y /= radicand
-        y /= rho
-        y *= k
+        y *= 2.0 * np.pi * grid.dr / rho
         g = dst1(y)
         g *= to_r
         return g, rho
@@ -450,7 +451,8 @@ def _fourier_iteration(v: Potential, e: float, grid: RadialGrid,
     finite or has set no new minimum for ``_STALL_WINDOW`` steps.
     """
     step = _kspace_map(v, e, grid)
-    u = np.zeros(grid.n) if u0 is None else u0
+    mix = np.zeros(grid.n)  # holds every mixed iterate
+    u = mix if u0 is None else u0
     f, f_prev = np.empty(grid.n), np.empty(grid.n)
     d_f = np.empty((_ANDERSON_DEPTH, grid.n))
     d_g = np.empty_like(d_f)
@@ -460,7 +462,7 @@ def _fourier_iteration(v: Potential, e: float, grid: RadialGrid,
     for it in range(1, _MAX_OUTER + 1):
         g, rho = step(u, history)
         np.subtract(g, u, out=f)
-        delta = float(np.max(np.abs(f)))
+        delta = float(max(f.max(), -f.min()))
         history.append(delta)
         if not np.isfinite(delta):
             raise ConvergenceError(
@@ -478,9 +480,10 @@ def _fourier_iteration(v: Potential, e: float, grid: RadialGrid,
             np.subtract(f, f_prev, out=d_f[slot])
             np.subtract(g, g_prev, out=d_g[slot])
             depth = min(filled, _ANDERSON_DEPTH)
-            gram = d_f[:depth] @ d_f[:depth].T
+            gram = np.array([[np.dot(p, q) for q in d_f[:depth]] for p in d_f[:depth]])
             gamma = np.linalg.lstsq(gram, d_f[:depth] @ f, rcond=None)[0]
-            u = g - gamma @ d_g[:depth]
+            np.dot(gamma, d_g[:depth], out=mix)
+            u = np.subtract(g, mix, out=mix)
         f, f_prev = f_prev, f
         g_prev = g
     raise ConvergenceError(
@@ -544,7 +547,7 @@ def _monotone_iteration(v: Potential, e: float, grid: RadialGrid) -> Solved:
                 raise ConvergenceError(
                     f"Newton multiplier k^2 + 4e(1 - rho uhat) reached "
                     f"{np.min(multiplier):.3e} on step {it}", history=history)
-            resolvent = Resolvent(grid, v_vals, multiplier)
+            resolvent = Resolvent(grid, v, multiplier)
             residual = v_vals + 2.0 * e * rho * conv - lap4e.values - v_vals * u
             d, report, _ = resolvent.solve_rank_one(residual, multiplier, conv,
                                                     rho**2 * ell, INNER_TOL)

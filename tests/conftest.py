@@ -3,6 +3,7 @@ import pytest
 
 from bosegas import (ExplicitSolutionSpec, SolverConfig, explicit_potential,
                      gaussian_potential, make_grid, solve_fixed_e, tabulated_potential)
+from bosegas.potentials import Potential
 
 
 @pytest.fixture(scope="session")
@@ -61,3 +62,8 @@ def exp_table(grid):
     """The exp(-r) potential tabulated on [0, 30]: no algebraic tail, and a
     support wider than the capacitance budget on fine grids."""
     return tabulated_potential([(r, np.exp(-r)) for r in np.linspace(0.0, 30.0, 301)], grid)
+
+
+def sampled(grid, values):
+    """A Potential whose samples on ``grid`` are exactly ``values``."""
+    return Potential(name="sampled", profile=lambda r: values, grid=grid)

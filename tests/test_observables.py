@@ -197,10 +197,13 @@ class TestMomentumDistribution:
 
 
 class TestDecayConstant:
-    def test_explicit_has_no_prediction(self, state_explicit):
+    def test_explicit_prediction(self, state_explicit):
+        # the r^-6 tail leaves int |x|^2 v finite, all the law needs
         fit = decay_constant(state_explicit)
-        assert fit.predicted_amplitude is None
-        assert "x|^4 v" in fit.note or "diverges" in fit.note
+        assert fit.note == ""
+        assert fit.predicted_amplitude == state_explicit.rho * state_explicit.tail.c4
+        assert fit.measured_amplitude / fit.predicted_amplitude == pytest.approx(
+            1.0, abs=0.01)
         # the measured tail is the closed form c/(b^4 r^4): rho u r^4 -> rho c
         assert fit.measured_amplitude == pytest.approx(
             state_explicit.rho * 0.5, rel=0.02)

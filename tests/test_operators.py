@@ -12,7 +12,7 @@ from bosegas.operators import (INNER_TOL, LinearSolveReport, OperatorContext, Re
 from bosegas.observables import random_nonneg_fields
 from bosegas.solver import SolverConfig, solve_fixed_e
 
-from conftest import gaussian_bumps
+from conftest import gaussian_bumps, sampled
 
 
 def Ge_kernel_oracle(r0, e, profile, upper=30.0):
@@ -182,8 +182,8 @@ class TestKe:
         # p.Ap = 0; the kernel reports a stall instead of dividing by it
         g = make_grid(4095, 4e-148)
         multiplier = g.k**2 + 4e300
-        out, report = Resolvent(g, np.ones(g.n), multiplier).solve(np.ones(g.n), multiplier,
-                                                                   1e-10)
+        out, report = Resolvent(g, sampled(g, np.ones(g.n)), multiplier).solve(
+            np.ones(g.n), multiplier, 1e-10)
         assert not report.converged
         assert np.all(np.isfinite(out))
 
@@ -348,8 +348,8 @@ class TestFrakKe:
         g = state_gauss.grid
         multiplier = wide_context.multiplier()
         zero = np.zeros(g.n)
-        assert Resolvent(g, zero, multiplier).support.size == 0
-        for v_values, resolvent in ((zero, Resolvent(g, zero, multiplier)),
+        assert Resolvent(g, sampled(g, zero), multiplier).support.size == 0
+        for v_values, resolvent in ((zero, Resolvent(g, sampled(g, zero), multiplier)),
                                     (wide_context.v.samples.values, wide_context.resolvent)):
             for psi in (state_gauss.potential.samples, state_gauss.u):
                 w, report = resolvent.solve(psi.values, multiplier, 1e-12)
@@ -479,7 +479,7 @@ class TestShortPayloads:
         v_values = np.zeros(g.n)
         v_values[[3, 6]] = 5.0, 4e-14
         multiplier = g.k**2 + 2.0
-        resolvent = Resolvent(g, v_values, multiplier)
+        resolvent = Resolvent(g, sampled(g, v_values), multiplier)
         assert resolvent.support.tolist() == [3] and resolvent.v_end == 7
         inputs, precondition = [], Resolvent._precondition
 
@@ -502,7 +502,7 @@ class TestShortPayloads:
         v_values = np.zeros(g.n)
         v_values[3] = 5.0
         multiplier = g.k**2 + 2.0
-        resolvent = Resolvent(g, v_values, multiplier)
+        resolvent = Resolvent(g, sampled(g, v_values), multiplier)
         assert resolvent.v_end == 4 and resolvent.prefix.size - 3 >= g.n
         calls = count_dst1(monkeypatch)
         for psi in (np.exp(-g.r**2), np.ones(g.n)):

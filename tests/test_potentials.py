@@ -1,5 +1,8 @@
+from math import comb
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from bosegas import (ConfigurationError, ConvergenceError, ExplicitSolutionSpec,
                      InvariantViolation, QualityWarning, explicit_potential,
@@ -76,6 +79,16 @@ class TestGaussian:
         with pytest.raises(InvariantViolation, match="v is 0 at every grid node"):
             solve_fixed_rho(v, 0.05)
 
+    def test_extent_is_past_the_last_nonzero_node(self, grid_small):
+        # exp(-r^2) underflows to exactly 0 near r = 27.3; an r^-6 tail does not
+        v = gaussian_potential(1.0, 1.0, grid_small)
+        L = v.extent
+        assert 0 < L < grid_small.n
+        assert v.samples.values[L - 1] > 0 and not np.any(v.samples.values[L:])
+        explicit = explicit_potential(ExplicitSolutionSpec(1.0, 0.5, 1.0), grid_small)
+        assert explicit.extent == grid_small.n
+        assert Potential("zero", np.zeros_like, grid_small).extent == 0
+
     def test_rejects_zero_amplitude(self, grid_small):
         with pytest.raises(ConfigurationError):
             gaussian_potential(0.0, 1.0, grid_small)
@@ -139,6 +152,38 @@ class TestTabulated:
         sel = grid_small.r <= 8.0
         np.testing.assert_allclose(v.samples.values[sel],
                                    ref.samples.values[sel], atol=2e-7)
+
+    def test_norms_exact_for_a_cubic(self, grid_small):
+        # not-a-knot reproduces (3 - r)^3 / 27 exactly, and
+        # int_0^3 r^m (3 - r)^j dr = 3^(m+j+1) m! j! / (m+j+1)!
+        def moment(m, j):
+            return 4.0 * np.pi * 3.0 ** (m + j + 1) / ((m + j + 1) * comb(m + j, m))
+
+        v = tabulated_potential([(r, (3.0 - r) ** 3 / 27.0) for r in np.linspace(0.0, 3.0, 7)],
+                                grid_small)
+        norms = v.norms
+        assert norms.v_l1 == pytest.approx(moment(2, 3) / 27.0, rel=1e-14)
+        assert norms.v_l2 == pytest.approx(np.sqrt(moment(2, 6)) / 27.0, rel=1e-14)
+        assert norms.x2v_l1 == pytest.approx(moment(4, 3) / 27.0, rel=1e-14)
+        assert norms.x4v_l1 == pytest.approx(moment(6, 3) / 27.0, rel=1e-14)
+
+    def test_norms_integrate_each_piece(self, grid_small):
+        # a table that starts off the origin: [0, r_0] is one piece of the
+        # even extension; tight adaptive quadrature piece by piece agrees
+        r_tab = np.linspace(0.5, 12.0, 47)
+        v = tabulated_potential([(r, np.exp(-r)) for r in r_tab], grid_small)
+        knots = np.concatenate(([0.0], r_tab))
+
+        def piecewise(w, p):
+            return sum(quad(lambda r: 4.0 * np.pi * r ** (2 + w) * v.profile(r) ** p,
+                            a, b, epsabs=0.0, epsrel=1e-13)[0]
+                       for a, b in zip(knots[:-1], knots[1:]))
+
+        norms = v.norms
+        assert norms.v_l1 == pytest.approx(piecewise(0, 1), rel=1e-13)
+        assert norms.v_l2 == pytest.approx(np.sqrt(piecewise(0, 2)), rel=1e-13)
+        assert norms.x2v_l1 == pytest.approx(piecewise(2, 1), rel=1e-13)
+        assert norms.x4v_l1 == pytest.approx(piecewise(4, 1), rel=1e-13)
 
     def test_rejects_negative_value(self, grid_small):
         pairs = [(0.0, 1.0), (1.0, 0.5), (2.0, 0.2), (3.0, -0.1)]

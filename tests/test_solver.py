@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.fft import dst
 from scipy.special import binom, zeta
 
 from bosegas import (ConfigurationError, CROSS_VALIDATED, FOURIER, MONOTONE,
@@ -286,7 +287,7 @@ def newton_step_system(v, e, grid, u, rho):
     u_hat, conv, lap4e = solver._spectral_terms(RadialField(grid, u, POSITION), e)
     multiplier = grid.k**2 + 4.0 * e - 4.0 * e * rho * u_hat
     residual = v_vals + 2.0 * e * rho * conv.values - lap4e.values - v_vals * u
-    return (operators.Resolvent(grid, v_vals, multiplier), multiplier, residual,
+    return (operators.Resolvent(grid, v, multiplier), multiplier, residual,
             conv.values)
 
 
@@ -474,6 +475,55 @@ class TestAndersonIteration:
             state = solve_fixed_e(gauss_small, 0.3, config)
         assert state.scheme_used.endswith("(fallback)")
         state.require_invariants()
+
+
+def reference_kspace_step(v, e, grid, u):
+    """(G(u), rho) of the closed-form map on full-length arrays, one numpy
+    pass per operation, by scipy's DST-I."""
+    r, k = grid.r, grid.k
+    s = np.maximum((1.0 - u) * v.samples.values, 0.0)
+    rho = 2.0 * e / solver._s_moment(v, s, grid, 0)
+    y = dst(r * s, type=1) * (2.0 * np.pi * grid.dr / k) * (rho / (2.0 * e))
+    a = k**2 / (4.0 * e) + 1.0
+    rho_u_hat = y / (a + np.sqrt(np.maximum(a * a - y, 0.0)))
+    return dst(k * rho_u_hat / rho, type=1) * grid.dk / (4.0 * np.pi**2 * r), rho
+
+
+class TestKspaceMap:
+    @pytest.mark.parametrize("family", ["gaussian", "tabulated", "explicit"])
+    def test_matches_full_length_arithmetic(self, family, explicit_spec):
+        # gaussian and tabulated v are exactly 0 from node L < n on, the
+        # explicit r^-6 tail is not (L = n, tail weights in the integral)
+        grid = make_grid(4095, 100.0)
+        v = {"gaussian": lambda: gaussian_potential(1.0, 1.0, grid),
+             "tabulated": lambda: exp_table(grid),
+             "explicit": lambda: explicit_potential(explicit_spec, grid)}[family]()
+        assert (v.extent < grid.n) == (family != "explicit")
+        assert not np.any(v.samples.values[v.extent:]) and v.samples.values[v.extent - 1] > 0
+        step = solver._kspace_map(v, 1.0, grid)
+        for u in (np.zeros(grid.n), 0.5 / (1.0 + grid.r**2) ** 2,
+                  solve_fixed_e(v, 1.0, SolverConfig(n=4095, r_max=100.0)).u.values):
+            g, rho = step(u, [])
+            g_ref, rho_ref = reference_kspace_step(v, 1.0, grid, u)
+            assert abs(rho - rho_ref) <= 1e-14 * rho_ref
+            assert np.max(np.abs(g - g_ref)) <= 1e-14 * np.max(np.abs(g_ref))
+
+    def test_radicand_violation_raises(self, explicit_spec):
+        # the tail fit weighs node j at r_max/2 negatively: S there shrinks
+        # int S to 1% of its bulk while Shat(k) at small k grows, so
+        # (rho/2e) Shat exceeds a^2 = 1 + k^2/4e near k = 0
+        grid = make_grid(4095, 100.0)
+        v = explicit_potential(explicit_spec, grid)
+        weights = solver._moment_weights(v, grid)
+        j = int(np.argmin(weights))
+        assert weights[j] < 0
+        bulk = np.dot(weights, v.samples.values)
+        u = np.zeros(grid.n)
+        u[j] = 1.0 - 0.99 * bulk / -weights[j] / v.samples.values[j]
+        step = solver._kspace_map(v, 1.0, grid)
+        with pytest.raises(InvariantViolation, match="radicand of the k-space root went "
+                                                     "negative at k = "):
+            step(u, [])
 
 
 class TestSolveFixedRho:
