@@ -17,10 +17,12 @@ config = SolverConfig(n=16383, r_max=800.0)
 v = explicit_potential(spec, config.grid_for(spec.e))
 
 print(f"potential: closed-form family, b={spec.b}, c={spec.c}, e={spec.e}")
+# v -> (leading numerator coefficient) / (b r)^6 at large r
+tail = spec.numerator_coefficients()[-1] / spec.b**6
 print(f"  v(0) = {v.profile(0.0):.6f}, ||v||_1 = {v.norms.v_l1:.6f}, "
-      f"tail ~ {v.tail_coeff:.3g}/r^6")
+      f"tail ~ {tail:.3g}/r^{v.tail_power:g}")
 print(f"  note: int |x|^4 v diverges for this family "
-      f"(x4v_finite = {v.x4v_finite})")
+      f"(moment_finite(4) = {v.moment_finite(4)})")
 
 state = solve_fixed_e(v, spec.e, config)
 print(f"\nsolved in {state.iterations} iterations ({state.scheme_used})")

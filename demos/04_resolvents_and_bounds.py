@@ -41,7 +41,7 @@ print(f"fK_e v range on the grid: [{np.min(kv.values):.2e}, {np.max(kv.values):.
       "(provably within [0, 1])")
 
 print("\ninequality audit:")
-audit = bound_audit(state, probe_operator=True)
+audit = bound_audit(state)
 for row in audit.rows:
     mark = "ok " if row.passed else "FAIL"
     print(f"  [{mark}] {row.name:18s} lhs={row.lhs:11.5g}  rhs={row.rhs:11.5g}  "

@@ -31,5 +31,5 @@ for lam in (2.0, 4.0):
 defect = scattering_identity_defect(base)
 print(f"\noperator-route identity defect (should be well under 1%): {defect:.2e}")
 
-a0_half = scattering_length(base, rtol=1e-6)
-print(f"looser-tolerance solve agrees: {a0_half:.10f} vs {base.a0:.10f}")
+wide = gaussian_potential(1.0, 1.0, make_grid(8191, 240.0))
+print(f"a0 does not depend on the grid: {scattering_length(wide):.10f} vs {base.a0:.10f}")

@@ -180,10 +180,9 @@ def _json_rows(rows) -> list:
             for row in rows]
 
 
-def emit(bundle: ReportBundle, fmt: str | None = None, out: str | None = None) -> list:
-    """Write the bundle; returns the list of files written."""
-    fmt = fmt or bundle.metadata.get("format", "csv")
-    out = out or bundle.metadata.get("out", "report")
+def emit(bundle: ReportBundle, fmt: str, out: str) -> list:
+    """Write the bundle as ``fmt`` to files named from ``out``; returns the
+    list of files written."""
     written = []
     if fmt == "csv":
         tables = [(f"{out}.csv", bundle.columns, bundle.rows)]

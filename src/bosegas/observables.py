@@ -20,7 +20,8 @@ from scipy.special import gamma
 from .errors import ConfigurationError
 from .grids import POSITION, RadialField
 from .operators import apply_frakKe, frakKe_l2_bound
-from .solver import AuditRow, SolutionState, SweepRecord, rho_prime
+from .solver import (_SMALL_E, _UNPROVEN, AuditRow, SolutionState, SweepRecord,
+                     _regime_label, rho_prime)
 
 LHY_COEFFICIENT_FORMULA = "128/(15 sqrt(pi))"
 
@@ -32,6 +33,8 @@ _SPLINE_MARGIN = 64
 # exp(-x) is exactly 0.0 in double precision for x > 745.2, so a probe bump
 # is zero beyond sqrt(746) widths from its centre.
 _BUMP_REACH = np.sqrt(746.0)
+
+_PROBES = 10    # probe fields of the audit's ||fK_e psi||_2 row
 
 
 def lhy_coefficient() -> float:
@@ -281,11 +284,11 @@ def _u_lp_norm(state: SolutionState, p: float) -> float:
     return float(state.grid.integrate(np.abs(state.u.values) ** p) ** (1.0 / p))
 
 
-def random_nonneg_fields(grid, count: int = 10, seed: int = 20260810) -> list[RadialField]:
-    """Reproducible smooth non-negative probe fields (Gaussian bumps)."""
+def random_nonneg_fields(grid, seed: int = 20260810) -> list[RadialField]:
+    """_PROBES reproducible smooth non-negative probe fields (Gaussian bumps)."""
     rng = np.random.default_rng(seed)
     fields = []
-    for _ in range(count):
+    for _ in range(_PROBES):
         amp = rng.uniform(0.5, 2.0)
         center = rng.uniform(0.0, 4.0)
         width = rng.uniform(0.5, 2.0)
@@ -297,7 +300,7 @@ def random_nonneg_fields(grid, count: int = 10, seed: int = 20260810) -> list[Ra
 
 
 def bound_audit(state: SolutionState, sweep: SweepRecord | None = None,
-                probe_operator: bool = True, seed: int = 20260810) -> BoundAudit:
+                seed: int = 20260810) -> BoundAudit:
     """Evaluate the named inequality table on one converged state.
 
     The first rows are ``state.bound_rows()``, the state contract's bounds.
@@ -332,22 +335,22 @@ def bound_audit(state: SolutionState, sweep: SweepRecord | None = None,
     audit.add("vKv", grid.integrate(state.potential.samples.values * kv),
               norms.v_l1, note="int v fK_e v <= int v")
 
-    if probe_operator:
-        worst_ratio = 0.0
-        for psi in random_nonneg_fields(grid, count=10, seed=seed):
-            out = state.solve_frakKe(psi, "an audit probe")
-            ratio = out.norm_l2() / (frakKe_l2_bound(e) * psi.integral())
-            worst_ratio = max(worst_ratio, ratio)
-        audit.add("frakKL2", worst_ratio, 1.0,
-                  note="||fK_e psi||_2 <= (1/pi)(2e)^(-1/4) ||psi||_1, 10 probes")
+    worst_ratio = 0.0
+    for psi in random_nonneg_fields(grid, seed=seed):
+        out = state.solve_frakKe(psi, "an audit probe")
+        ratio = out.norm_l2() / (frakKe_l2_bound(e) * psi.integral())
+        worst_ratio = max(worst_ratio, ratio)
+    audit.add("frakKL2", worst_ratio, 1.0,
+              note=f"||fK_e psi||_2 <= (1/pi)(2e)^(-1/4) ||psi||_1, {_PROBES} probes")
 
-    in_small_e = e < state.potential.e_star
+    regime = _regime_label(e, state.potential)
+    in_small_e = regime == _SMALL_E
     rp = rho_prime(state)
     audit.add("rhopb2", rp, 16.0 / norms.v_l1,
               kind="assert" if in_small_e else "report",
               note="rho' <= 16/||v||_1" + ("" if in_small_e else " (outside proven regime)"))
     audit.add("rho_prime_positive", 0.0, rp,
-              kind="assert" if (in_small_e or e > state.potential.e_large) else "report",
+              kind="report" if regime == _UNPROVEN else "assert",
               note="rho' > 0" + ("" if in_small_e else " (regime-dependent)"))
 
     gb = 2.0 * state.u.values - rho * state.u_conv.values

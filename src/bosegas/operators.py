@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 
 from .errors import (ConfigurationError, ConvergenceError, GridMismatchError,
                      InvariantViolation)
@@ -37,8 +37,8 @@ from .grids import (FREQUENCY, POSITION, RadialField, RadialGrid, dst1,
 from .potentials import Potential, QualityWarning
 
 INNER_TOL = 1e-12
-"""Relative residual of every K_e/fK_e solve, the default ``tol`` of the solves
-below. The recomputed residual floors above it, higher for larger n and rougher
+"""Relative residual of every K_e/fK_e and Newton solve, read when a solve
+stops. The recomputed residual floors above it, higher for larger n and rougher
 payloads (fK_e u: ~2e-12 at n=4095, 6e-11 at n=161999); below that,
 ``final_residual`` is the CG recurrence's estimate."""
 MAX_ITER = 10_000        # CG iterations before a solve is reported unconverged
@@ -195,7 +195,12 @@ class Resolvent:
             capacitance = self.d_half[:, None] * self._block(self.support)
             capacitance *= self.d_half
             capacitance[np.diag_indices_from(capacitance)] += 1.0
-            self.factor = cho_factor(capacitance)
+            try:
+                self.factor = cho_factor(capacitance)
+            except (ValueError, LinAlgError):   # not finite, or not numerically positive
+                raise ConvergenceError(
+                    f"capacitance matrix of v on its {self.support.size} support nodes "
+                    f"cannot be factored (max v = {np.max(self.v_values):.3e})") from None
 
     def _kM_inverse_scale(self, multiplier: np.ndarray) -> np.ndarray:
         """q with kM^-1 y = dst1(dst1(y) q) on y = r*w."""
@@ -219,14 +224,15 @@ class Resolvent:
             if not self.support.size:
                 return z, s
         z_P = z[self.support] if table is None else table @ s[:table.shape[1]]
-        x = self.d_half * cho_solve(self.factor, self.d_half * z_P)
+        # a non-finite x (v overflowing the scale of s) makes the Krylov solve break down
+        x = self.d_half * cho_solve(self.factor, self.d_half * z_P, check_finite=False)
         np.copyto(work, s)
         work[self.support] -= x
         z = dst1(work)
         z *= q
         return dst1(z), work
 
-    def solve(self, psi: np.ndarray, multiplier: np.ndarray, tol: float):
+    def solve(self, psi: np.ndarray, multiplier: np.ndarray):
         """Solve (kM + v) w = psi, kM with the ``multiplier`` this Resolvent
         was built with; returns (w values, LinearSolveReport).
 
@@ -239,10 +245,11 @@ class Resolvent:
         and v end before node L, m L <= n: then every r = r - alpha (v p +
         kM p) does too, and (kM^-1 r)_P is an m x L product. Stops when
         the recursively updated relative residual ||r|| / ||psi|| reaches
-        ``tol``, or unconverged after MAX_ITER iterations; the true residual
+        INNER_TOL, or unconverged after MAX_ITER iterations; the true residual
         of w levels off above 1e-12 relative, so checking it against a
-        tighter tol would never stop. A breakdown (r.z or p.Ap not positive,
-        e.g. by underflow) ends the solve unconverged.
+        tighter tolerance would never stop. A breakdown (r.z or p.Ap not
+        positive and finite, e.g. by underflow or overflow) ends the solve
+        unconverged.
         """
         grid, v_values = self.grid, self.v_values
         res_y = grid.r * psi
@@ -267,19 +274,19 @@ class Resolvent:
             np.multiply(v_values, p, out=Ap)
             Ap += kMp
             pAp = float(np.dot(p, Ap))
-            if not (rz > 0.0 and pAp > 0.0):   # breakdown, e.g. underflow
+            if not (0.0 < rz < np.inf and 0.0 < pAp < np.inf):   # breakdown
                 return y / grid.r, LinearSolveReport(it - 1, res, False)
             alpha = rz / pAp
             y += alpha * p
             res_y -= alpha * Ap
             res = float(np.sqrt(np.dot(res_y, res_y) / psi_sq))
-            if res <= tol:
+            if res <= INNER_TOL:
                 return y / grid.r, LinearSolveReport(it, res, True)
             rz_prev = rz
         return y / grid.r, LinearSolveReport(MAX_ITER, res, False)
 
     def solve_rank_one(self, psi: np.ndarray, multiplier: np.ndarray, c: np.ndarray,
-                       g: np.ndarray, tol: float):
+                       g: np.ndarray):
         """Solve (kM + v - c g^T) w = psi, g^T w the dot g.w, kM as in
         ``solve``; returns (w values, LinearSolveReport, delta_M), or
         (None, None, delta_M) without iterating when delta_M <= 0.
@@ -293,9 +300,8 @@ class Resolvent:
         itself when v lives on the support. The basis is kept as separate length-n vectors,
         with the P^-1 of each, so w needs no last P^-1. Stops when the
         least-squares residual ||psi - (kM + v - c g^T) w|| / ||psi|| reaches
-        ``tol``;
-        unconverged after _KRYLOV_MAX iterations or on a breakdown (a zero or
-        non-finite rotation).
+        INNER_TOL; unconverged after _KRYLOV_MAX iterations or on a breakdown
+        (a zero or non-finite rotation).
 
         With c, g >= 0, delta_M is at most delta = 1 - g.(kM + v)^-1 c, the
         Sherman-Morrison denominator of the system itself: M <= kM + v, both
@@ -354,7 +360,7 @@ class Resolvent:
             rhs[j + 1] = -sines[j] * rhs[j]
             rhs[j] *= cosines[j]
             res = abs(float(rhs[j + 1])) / beta
-            if res <= tol:
+            if res <= INNER_TOL:
                 return iterate(j + 1, res, True)
             t /= next_norm
             basis.append(t)
@@ -371,31 +377,27 @@ def require_converged(solved, what: str, history=None):
     return out
 
 
-def apply_Ke(psi: RadialField, e: float, v: Potential,
-             tol: float = INNER_TOL) -> tuple[RadialField, LinearSolveReport]:
+def apply_Ke(psi: RadialField, e: float, v: Potential) -> tuple[RadialField, LinearSolveReport]:
     """K_e psi = (-Delta + v + 4e)^-1 psi by conjugate gradients preconditioned
     with G_e^-1 + v on the support of v."""
     if e <= 0:
         raise ConfigurationError("apply_Ke needs e > 0")
     multiplier = psi.grid.k**2 + 4.0 * e
-    out, report = Resolvent(psi.grid, v, multiplier).solve(
-        psi.values, multiplier, tol)
+    out, report = Resolvent(psi.grid, v, multiplier).solve(psi.values, multiplier)
     return _output_field(psi, out, "K_e"), report
 
 
-def apply_frakKe(psi: RadialField, ctx: OperatorContext,
-                 tol: float = INNER_TOL) -> tuple[RadialField, LinearSolveReport]:
+def apply_frakKe(psi: RadialField, ctx: OperatorContext) -> tuple[RadialField, LinearSolveReport]:
     """fK_e psi by conjugate gradients preconditioned with Y_e^-1 + v on the
     support of v."""
-    out, report = ctx.resolvent.solve(psi.values, ctx.multiplier(), tol)
+    out, report = ctx.resolvent.solve(psi.values, ctx.multiplier())
     return _output_field(psi, out, "fK_e"), report
 
 
-def symmetry_check(phi: RadialField, psi: RadialField, ctx: OperatorContext,
-                   tol: float = INNER_TOL) -> float:
+def symmetry_check(phi: RadialField, psi: RadialField, ctx: OperatorContext) -> float:
     """Relative defect of int phi fK_e psi = int psi fK_e phi (self-adjointness)."""
-    k_psi = require_converged(apply_frakKe(psi, ctx, tol=tol), "fK_e solve in symmetry check")
-    k_phi = require_converged(apply_frakKe(phi, ctx, tol=tol), "fK_e solve in symmetry check")
+    k_psi = require_converged(apply_frakKe(psi, ctx), "fK_e solve in symmetry check")
+    k_phi = require_converged(apply_frakKe(phi, ctx), "fK_e solve in symmetry check")
     a = ctx.grid.integrate(phi.values * k_psi.values)
     b = ctx.grid.integrate(psi.values * k_phi.values)
     return abs(a - b) / max(abs(a), 1e-300)
@@ -406,16 +408,15 @@ def frakKe_l2_bound(e: float) -> float:
     return (2.0 * e) ** (-0.25) / np.pi
 
 
-def xi_flatness(ctx: OperatorContext, rho_u: RadialField,
-                radii=(0.1, 1.0, 10.0)) -> dict:
+def xi_flatness(ctx: OperatorContext, rho_u: RadialField) -> dict:
     """Relative deviation of xi = Y_e(rho u) from its small-e constant
-    sqrt(2e)/(3 pi^2) at probe radii."""
+    sqrt(2e)/(3 pi^2) at the probe radii 0.1, 1 and 10."""
     from .grids import evaluate
 
     xi = apply_Ye(rho_u, ctx)
     target = np.sqrt(2.0 * ctx.e) / (3.0 * np.pi**2)
     deviations = {}
-    for r in radii:
+    for r in (0.1, 1.0, 10.0):
         deviations[r] = abs(evaluate(xi, r) - target) / (np.sqrt(2.0 * ctx.e))
     return {"target": target, "deviations": deviations,
             "max_deviation": max(deviations.values())}

@@ -20,9 +20,7 @@ from .errors import ConfigurationError, ConvergenceError
 from .grids import POSITION, RadialField, RadialGrid, fast_grid_size
 
 EXPLICIT_CONDITION = 7.0 / 9.0
-# Sharper admissibility constant for the closed-form potential; numerator
-# positivity holds down to here but only 7/9 is enforced by default.
-EXPLICIT_SHARP_CONDITION = (-263.0 + 23.0 * np.sqrt(161.0)) / 48.0
+_A0_RTOL = 1e-9     # relative change of a0 under a doubled resolution at convergence
 
 
 class QualityWarning(UserWarning):
@@ -33,8 +31,6 @@ class QualityWarning(UserWarning):
 class PotentialNorms:
     v_l1: float
     v_l2: float
-    x2v_l1: float
-    x4v_l1: float
 
 
 @dataclass
@@ -44,8 +40,7 @@ class Potential:
     name: str
     profile: callable
     grid: RadialGrid
-    tail_power: float | None = None     # v ~ tail_coeff / r^tail_power
-    tail_coeff: float | None = None
+    tail_power: float | None = None     # v ~ r^-tail_power at large r
     range_hint: float = 1.0             # decay scale, used by the ODE solver
     bounded: bool = True                # False only for the c=1 closed form
     table_knots: tuple | None = None    # tabulated data: its spline knots in [0, end]
@@ -73,41 +68,40 @@ class Potential:
         the algebraic tail: tail_power * value_power > 3 + power."""
         return self.tail_power is None or self.tail_power * value_power > 3 + power
 
-    @property
-    def x4v_finite(self) -> bool:
-        return self.moment_finite(4)
-
-    @property
-    def l2_finite(self) -> bool:
-        # An r^-2 integrable singularity at the origin (c=1 closed form)
-        # breaks square integrability; tails of power > 3/2 never do.
-        return self.bounded
-
-    def _radial_integral(self, weight_power: int, value_power: float = 1.0) -> float:
-        """int_0^inf 4 pi r^(2+w) v(r)^p dr, w = weight_power, p = value_power,
-        grid-independent. A table is a cubic between its knots, so 8-point
-        Gauss-Legendre on each piece is exact (degree <= 15). Otherwise adaptive
-        quadrature of the profile in units of range_hint, so that quad resolves
-        a potential of any width: scale^(3+w) int 4 pi x^(2+w) v(scale x)^p dx."""
-        if not self.moment_finite(weight_power, value_power):
+    def _radial_integral(self, value_power: float) -> float:
+        """int_0^inf 4 pi r^2 v(r)^p dr, p = value_power, grid-independent;
+        ConfigurationError naming ||v||_p if it is finite but overflows. A
+        table is a cubic between its knots, so 8-point Gauss-Legendre on each
+        piece is exact (degree <= 15). Otherwise adaptive quadrature of the
+        profile in units of range_hint, so that quad resolves a potential of
+        any width: scale^3 int 4 pi x^2 v(scale x)^p dx."""
+        if not self.moment_finite(0, value_power):
             return np.inf
-        scale, w, p = self.range_hint, weight_power, value_power
+        scale, p = self.range_hint, value_power
         if self.table_knots is not None:
             knots, (x, weights) = np.asarray(self.table_knots), np.polynomial.legendre.leggauss(8)
             half = 0.5 * np.diff(knots)[:, None]
             r = knots[:-1, None] + half * (1.0 + x)
-            return float(4.0 * np.pi * np.sum(half * weights * r ** (2 + w) * self.profile(r) ** p))
-        val, _ = quad(lambda x: 4.0 * np.pi * x ** (2 + w) * self.profile(scale * x) ** p,
-                      0.0, np.inf, limit=400)
-        return float(scale ** (3 + w) * val)
+            value = float(4.0 * np.pi * np.sum(half * weights * r ** 2 * self.profile(r) ** p))
+        else:
+            val, _ = quad(lambda x: 4.0 * np.pi * x ** 2 * self.profile(scale * x) ** p,
+                          0.0, np.inf, limit=400)
+            try:
+                value = float(scale ** 3 * val)
+            except OverflowError:
+                value = np.inf
+        if not value < np.inf:
+            raise ConfigurationError(f"||v||_{p:g} of potential '{self.name}' is not "
+                                     "representable in double precision")
+        return value
 
     @cached_property
     def norms(self) -> PotentialNorms:
+        # an r^-2 singularity at the origin (c=1 closed form) breaks square
+        # integrability; tails of power > 3/2 never do
         return PotentialNorms(
-            v_l1=self._radial_integral(0),
-            v_l2=self._radial_integral(0, 2.0) ** 0.5 if self.l2_finite else np.inf,
-            x2v_l1=self._radial_integral(2),
-            x4v_l1=self._radial_integral(4),
+            v_l1=self._radial_integral(1.0),
+            v_l2=self._radial_integral(2.0) ** 0.5 if self.bounded else np.inf,
         )
 
     @property
@@ -152,18 +146,15 @@ class ExplicitSolutionSpec:
     b: float
     c: float
     e: float
-    allow_unproven_region: bool = False
 
     def __post_init__(self):
         if self.b <= 0 or self.e <= 0:
             raise ConfigurationError("explicit solution needs b > 0 and e > 0")
         if not 0 < self.c <= 1:
             raise ConfigurationError("explicit solution needs 0 < c <= 1")
-        bound = EXPLICIT_SHARP_CONDITION if self.allow_unproven_region else EXPLICIT_CONDITION
-        if self.e / self.b**2 < bound - 1e-12:
-            raise ConfigurationError(
-                f"explicit solution requires e/b^2 >= {bound:.6g}, got {self.e / self.b**2:.6g}"
-            )
+        if self.e / self.b**2 < EXPLICIT_CONDITION - 1e-12:
+            raise ConfigurationError(f"explicit solution requires e/b^2 >= "
+                                     f"{EXPLICIT_CONDITION:.6g}, got {self.e / self.b**2:.6g}")
 
     @property
     def rho(self) -> float:
@@ -211,8 +202,7 @@ def explicit_potential(spec: ExplicitSolutionSpec, grid: RadialGrid) -> Potentia
         )
     return Potential(
         name="explicit", profile=profile, grid=grid,
-        tail_power=6.0, tail_coeff=float(coeffs[3] / b**6),
-        range_hint=1.0 / b, bounded=(c < 1.0),
+        tail_power=6.0, range_hint=1.0 / b, bounded=(c < 1.0),
     )
 
 
@@ -356,16 +346,16 @@ def _a0_at_resolution(v: Potential, r_end: float, n_steps: int) -> float:
     return float(a2 + (a2 - a1) / ((n_steps / mid) ** (v.tail_power - 3.0) - 1.0))
 
 
-def scattering_length(v: Potential, rtol: float = 1e-9, r_end: float | None = None) -> float:
+def scattering_length(v: Potential) -> float:
     """Scattering length by 4th-order integration of w'' = v w.
 
-    Each resolution is one sweep of blocked RK4 transfer matrices. The step
-    is refined (with Richardson acceleration) until doubling the resolution
-    moves the answer by less than ``rtol`` relatively; for an algebraic
-    tail, a(r_end/2) and a(r_end) of the same sweep extrapolate r -> inf.
+    Each resolution is one sweep of blocked RK4 transfer matrices out to
+    ``_log_derivative_radius``. The step is refined (with Richardson
+    acceleration) until doubling the resolution moves the answer by less
+    than _A0_RTOL relatively; for an algebraic tail, a(r_end/2) and
+    a(r_end) of the same sweep extrapolate r -> inf.
     """
-    if r_end is None:
-        r_end = _log_derivative_radius(v)
+    r_end = _log_derivative_radius(v)
     n = max(4000, int(40 * r_end / v.range_hint))
     prev = _a0_at_resolution(v, r_end, n)
     for _ in range(8):
@@ -375,29 +365,29 @@ def scattering_length(v: Potential, rtol: float = 1e-9, r_end: float | None = No
         change = abs(cur - prev)
         # the absolute floor covers accumulated round-off of the r - w/w'
         # cancellation, which does not shrink with a0 for weak potentials
-        if change <= rtol * abs(cur) + 4e-12 * r_end:
+        if change <= _A0_RTOL * abs(cur) + 4e-12 * r_end:
             return float(richardson)
         prev = cur
     raise ConvergenceError(
-        f"scattering length did not stabilize to rtol={rtol} (last change "
+        f"scattering length did not stabilize to rtol={_A0_RTOL} (last change "
         f"{change / max(abs(cur), 1e-300):.2e} relative); potential may be "
         "too singular for the fixed-step integrator"
     )
 
 
-def scattering_identity_defect(v: Potential, e: float = 1e-9,
-                               n: int = fast_grid_size(16384), r_max: float = 1500.0) -> float:
+def scattering_identity_defect(v: Potential) -> float:
     """Relative defect of int v phi = -4 pi a0 + int v with phi = K_e v, e -> 0+.
 
-    Cross-validates the ODE route through the operator route. phi decays
-    like a0/r, so the solve runs on its own wide grid; the default keeps
-    the truncation bias well under the 1% agreement contract.
+    Cross-validates the ODE route through the operator route at e = 1e-9.
+    phi decays like a0/r, so the solve runs on its own wide grid (n 16384,
+    r_max 1500), which keeps the truncation bias well under the 1% agreement
+    contract.
     """
     from .grids import make_grid
     from .operators import apply_Ke, require_converged
 
-    wide = v.resampled(make_grid(n, r_max))
-    phi = require_converged(apply_Ke(wide.samples, e, wide),
+    wide = v.resampled(make_grid(fast_grid_size(16384), 1500.0))
+    phi = require_converged(apply_Ke(wide.samples, 1e-9, wide),
                             "K_e solve for the scattering cross-check")
     lhs = wide.grid.integrate(wide.samples.values * phi.values)
     rhs = -4.0 * np.pi * v.a0 + v.norms.v_l1

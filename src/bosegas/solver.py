@@ -53,8 +53,7 @@ from scipy.special import binom, zeta
 from .errors import ConfigurationError, ConvergenceError, InvariantViolation
 from .grids import (FREQUENCY, POSITION, RadialField, RadialGrid, auto_r_max, dst1,
                     fourier_radial, inverse_fourier_radial, make_grid)
-from .operators import (INNER_TOL, OperatorContext, Resolvent, apply_frakKe, apply_Ke,
-                        require_converged)
+from .operators import OperatorContext, Resolvent, apply_frakKe, apply_Ke, require_converged
 from .potentials import Potential, QualityWarning
 
 FOURIER = "fourier_self_consistent"
@@ -549,13 +548,12 @@ def _monotone_iteration(v: Potential, e: float, grid: RadialGrid) -> Solved:
                     f"{np.min(multiplier):.3e} on step {it}", history=history)
             resolvent = Resolvent(grid, v, multiplier)
             residual = v_vals + 2.0 * e * rho * conv - lap4e.values - v_vals * u
-            d, report, _ = resolvent.solve_rank_one(residual, multiplier, conv,
-                                                    rho**2 * ell, INNER_TOL)
+            d, report, _ = resolvent.solve_rank_one(residual, multiplier, conv, rho**2 * ell)
             if report is not None:
                 d = solve((d, report), "GMRES solve")
             else:
-                a = solve(resolvent.solve(residual, multiplier, INNER_TOL), "solve for a")
-                b = solve(resolvent.solve(conv, multiplier, INNER_TOL), "solve for b")
+                a = solve(resolvent.solve(residual, multiplier), "solve for a")
+                b = solve(resolvent.solve(conv, multiplier), "solve for b")
                 denominator = 1.0 - rho**2 * _s_moment(v, v_vals * b, grid, 0)
                 if not denominator > 0.0:
                     raise ConvergenceError(
@@ -632,11 +630,15 @@ def _build_state(v: Potential, e: float, config: SolverConfig, solved: Solved) -
 
     u_hat, conv, lap4e = _spectral_terms(u, e)
     rho_u_hat = RadialField(grid, np.clip(rho * u_hat, 0.0, 1.0), FREQUENCY)
-    # PDE residual with the Laplacian applied spectrally
+    # PDE residual with the Laplacian applied spectrally, relative to ||v||_2 on
+    # the grid; when v^2 underflows to 0 both norms are taken of x / max v
     resid = (lap4e.values + v.samples.values * u_values
              - v.samples.values - 2.0 * e * rho * conv.values)
-    pde_residual = float(np.sqrt(grid.integrate(resid**2))
-                         / np.sqrt(grid.integrate(v.samples.values**2)))
+    v_sq = grid.integrate(v.samples.values**2)
+    if v_sq == 0.0:
+        v_max = np.max(v.samples.values)
+        resid, v_sq = resid / v_max, grid.integrate((v.samples.values / v_max) ** 2)
+    pde_residual = float(np.sqrt(grid.integrate(resid**2)) / np.sqrt(v_sq))
 
     return SolutionState(
         e=e, rho=rho, u=u, u_hat=rho_u_hat, u_conv=conv,
@@ -765,11 +767,6 @@ class SweepRow:
 @dataclass
 class SweepRecord:
     rows: list
-    potential_name: str
-    grid_n: int
-    grid_r_max: float
-    e_star: float
-    e_large: float
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(row, name) for row in self.rows])
@@ -779,12 +776,16 @@ class SweepRecord:
         return [row for row in self.rows if row.error is None]
 
 
+_SMALL_E, _UNPROVEN = "proven_small_e", "outside proven monotonicity regime"
+
+
 def _regime_label(e: float, v: Potential) -> str:
+    """Which proven monotonicity regime of v, if any, contains e."""
     if e < v.e_star:
-        return "proven_small_e"
+        return _SMALL_E
     if e > v.e_large:
         return "proven_large_e"
-    return "outside proven monotonicity regime"
+    return _UNPROVEN
 
 
 def sweep(v: Potential, e_values, config: SolverConfig | None = None,
@@ -851,10 +852,7 @@ def sweep(v: Potential, e_values, config: SolverConfig | None = None,
         if cur.e_rho <= prev.e_rho:
             cur.e_rho_increasing = False
 
-    return SweepRecord(
-        rows=rows, potential_name=v.name, grid_n=grid.n, grid_r_max=grid.r_max,
-        e_star=v.e_star, e_large=v.e_large,
-    )
+    return SweepRecord(rows=rows)
 
 
 def solve_fixed_rho(v: Potential, rho_target: float,

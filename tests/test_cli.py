@@ -261,6 +261,34 @@ def bundle():
     return config, run(config)
 
 
+class TestExtremeInputs:
+    """Inputs at the edge of double precision end in a package exit code with
+    an error line, never in a raw exception; solve mode exits 0 only after
+    ``require_invariants`` has passed."""
+
+    @pytest.mark.parametrize("args, expected", [
+        # the capacitance solve overflows: the K_e v solve breaks down
+        (["--potential", "gaussian", "--amp", "1e300", "--width", "1", "--e", "1"], 3),
+        (["--potential", "tabulated", "--table", "TABLE", "--e", "1"], 3),
+        # ||v||_1 = pi^(3/2) 1e900 is not representable
+        (["--potential", "gaussian", "--amp", "1", "--width", "1e300", "--e", "0.1"], 2),
+        # finite norms; the grid cannot hold a range of 1e100
+        (["--potential", "explicit", "--b", "1e-100", "--c", "0.5", "--e", "1"], 4),
+        # v^2 underflows to 0: the PDE residual is measured on v / max v
+        (["--potential", "gaussian", "--amp", "1e-300", "--width", "1", "--e", "1"], 4),
+        (["--potential", "gaussian", "--amp", "1", "--width", "1e-6", "--e", "0.1"], 4),
+    ], ids=["amp1e300", "table1e300", "width1e300", "b1e-100", "amp1e-300", "width1e-6"])
+    def test_ends_in_a_package_exit_code(self, tmp_path, capsys, args, expected):
+        table = tmp_path / "v.dat"
+        table.write_text("".join(f"{r} 1e300\n" for r in range(6)))
+        args = [str(table) if a == "TABLE" else a for a in args]
+        code = main(["--mode", "solve", "--grid-n", "4095",
+                     "--out", str(tmp_path / "x")] + args)
+        err = capsys.readouterr().err
+        assert code == expected, err
+        assert "error: " in err and "nan" not in err
+
+
 class TestEmission:
 
     def test_csv_determinism(self, bundle, tmp_path):

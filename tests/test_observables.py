@@ -14,6 +14,9 @@ from bosegas.observables import (depletion_consistency, random_nonneg_fields,
                                  u_lp_bound_constant)
 from bosegas.solver import rho_prime
 
+# int |x|^2 v d^3x = 4 pi int r^4 exp(-r^2) dr for the unit Gaussian
+X2V_UNIT_GAUSSIAN = 1.5 * np.pi**1.5
+
 
 @pytest.fixture(scope="module")
 def state_strong():
@@ -39,7 +42,7 @@ class TestBeta:
 
     def test_upper_bound(self, state_gauss):
         beta = beta_moment(state_gauss)
-        assert 0.0 <= beta <= state_gauss.rho * state_gauss.potential.norms.x2v_l1
+        assert 0.0 <= beta <= state_gauss.rho * X2V_UNIT_GAUSSIAN
 
     def test_weak_coupling_limit(self, grid_small):
         # u -> 0 pointwise (weak coupling), so beta -> rho ||x^2 v||_1
@@ -47,7 +50,7 @@ class TestBeta:
         config = SolverConfig(n=4095, r_max=150.0)
         weak = gaussian_potential(1e-3, 1.0, config.grid_for(0.5))
         state = solve_fixed_e(weak, 0.5, config)
-        cap = state.rho * state.potential.norms.x2v_l1
+        cap = state.rho * 1e-3 * X2V_UNIT_GAUSSIAN
         assert beta_moment(state) == pytest.approx(cap, rel=0.01)
         assert beta_moment(state) < cap
 
@@ -167,7 +170,7 @@ class TestWindowedBitIdentity:
     def test_probe_fields_match_the_full_grid_formula(self, n, r_max):
         grid = make_grid(n, r_max)
         rng = np.random.default_rng(7)
-        for psi in random_nonneg_fields(grid, count=10, seed=7):
+        for psi in random_nonneg_fields(grid, seed=7):
             amp, center, width = (rng.uniform(0.5, 2.0), rng.uniform(0.0, 4.0),
                                   rng.uniform(0.5, 2.0))
             full = amp * np.exp(-((grid.r - center) / width) ** 2)
@@ -270,23 +273,23 @@ class TestObservableReport:
 
 class TestBoundAudit:
     def test_starts_with_the_state_contract(self, state_gauss):
-        audit = bound_audit(state_gauss, probe_operator=False)
+        audit = bound_audit(state_gauss)
         contract = list(state_gauss.check_invariants().values())
         assert [(r.name, r.lhs, r.rhs, r.passed) for r in audit.rows[:5]] == \
             [(r.name, r.lhs, r.rhs, r.passed) for r in contract[:5]]
 
     def test_all_asserted_rows_pass(self, state_gauss):
-        audit = bound_audit(state_gauss, probe_operator=True)
+        audit = bound_audit(state_gauss)
         assert audit.asserted_ok, [r.name for r in audit.failures()]
 
     def test_report_rows_do_not_gate(self, state_gauss):
-        audit = bound_audit(state_gauss, probe_operator=False)
+        audit = bound_audit(state_gauss)
         gb = audit.row("gb_conjecture")
         assert gb.kind == "report"
 
     def test_explicit_gb_inequality_holds(self, state_explicit):
         # 2u - rho u*u = 6c(5+2b^2x^2)/((1+b^2x^2)^2(4+b^2x^2)^2) >= 0
-        audit = bound_audit(state_explicit, probe_operator=False)
+        audit = bound_audit(state_explicit)
         assert audit.row("gb_conjecture").passed
         g = state_explicit.grid
         expected = (6 * 0.5 * (5 + 2 * g.r**2)
@@ -298,7 +301,7 @@ class TestBoundAudit:
 
     def test_constants_recomputed_from_norms(self, state_gauss):
         v1 = state_gauss.potential.norms.v_l1
-        audit = bound_audit(state_gauss, probe_operator=False)
+        audit = bound_audit(state_gauss)
         assert audit.row("sim6").rhs == pytest.approx(
             v1 / (4 * np.sqrt(np.pi)) * state_gauss.e**-0.25)
         assert audit.row("rhopb2").rhs == pytest.approx(16.0 / v1)
@@ -308,6 +311,5 @@ class TestBoundAudit:
 
     def test_sweep_parmon_row(self, gauss_small):
         record = sweep(gauss_small, np.geomspace(0.05, 0.3, 4), SolverConfig(n=4095))
-        audit = bound_audit(record.rows[0].state, sweep=record,
-                            probe_operator=False)
+        audit = bound_audit(record.rows[0].state, sweep=record)
         assert audit.row("parmon").passed

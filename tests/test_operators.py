@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from bosegas import (GridMismatchError, InvariantViolation, FREQUENCY, POSITION, RadialField,
+from bosegas import (ConvergenceError, GridMismatchError, InvariantViolation, FREQUENCY, POSITION, RadialField,
                      apply_frakKe, apply_Ge, apply_Ke, apply_Ye, evaluate,
                      fourier_radial, gaussian_potential, inverse_fourier_radial,
                      make_grid, symmetry_check, xi_flatness)
@@ -155,18 +155,20 @@ class TestKe:
         np.testing.assert_allclose(out.values, apply_Ge(psi, 0.7).values,
                                    atol=1e-12)
 
-    def test_forward_residual(self, gauss_small, grid_small):
+    def test_forward_residual(self, gauss_small, grid_small, monkeypatch):
+        monkeypatch.setattr(operators, "INNER_TOL", 1e-10)
         for i, bump in enumerate(gaussian_bumps(grid_small, seed=3, count=4)):
             psi = RadialField(grid_small, bump, POSITION)
-            out, report = apply_Ke(psi, 0.5, gauss_small, tol=1e-10)
+            out, report = apply_Ke(psi, 0.5, gauss_small)
             assert report.converged
             assert report.final_residual <= 1e-8
 
-    def test_true_forward_residual(self, gauss_small, grid_small):
+    def test_true_forward_residual(self, gauss_small, grid_small, monkeypatch):
+        monkeypatch.setattr(operators, "INNER_TOL", 1e-10)
         multiplier = grid_small.k**2 + 4.0 * 0.5
         for bump in gaussian_bumps(grid_small, seed=3, count=4):
             psi = RadialField(grid_small, bump, POSITION)
-            out, report = apply_Ke(psi, 0.5, gauss_small, tol=1e-10)
+            out, report = apply_Ke(psi, 0.5, gauss_small)
             assert report.converged
             assert forward_residual(out, psi, multiplier,
                                     gauss_small.samples.values) <= 1e-9
@@ -183,9 +185,27 @@ class TestKe:
         g = make_grid(4095, 4e-148)
         multiplier = g.k**2 + 4e300
         out, report = Resolvent(g, sampled(g, np.ones(g.n)), multiplier).solve(
-            np.ones(g.n), multiplier, 1e-10)
+            np.ones(g.n), multiplier)
         assert not report.converged
         assert np.all(np.isfinite(out))
+
+    def test_overflowing_capacitance_solve_breaks_down(self):
+        # at amp 1e300, D^1/2 (kM^-1 v)_P overflows: the Cholesky solve is not
+        # finite and the solve stops unconverged instead of raising ValueError
+        v = gaussian_potential(1e300, 1.0, make_grid(255, 20.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, report = apply_Ke(v.samples, 1.0, v)
+        assert not report.converged
+        assert np.all(np.isfinite(out.values))
+
+    def test_unfactorable_capacitance_is_a_convergence_error(self):
+        # v = 1.7e308 on three nodes of a coarse grid overflows C itself
+        g = make_grid(31, 1e3)
+        v_values = np.zeros(g.n)
+        v_values[:3] = 1.7e308
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ConvergenceError, match="capacitance matrix .* cannot be factored"):
+            Resolvent(g, sampled(g, v_values), g.k**2 + 4e-10)
 
     def test_dominated_by_Ge(self, gauss_small, grid_small):
         psi = RadialField(grid_small, np.exp(-grid_small.r**2), POSITION)
@@ -286,13 +306,14 @@ class TestFrakKe:
         np.testing.assert_allclose(out.values, apply_Ye(psi, ctx).values,
                                    atol=1e-12)
 
-    def test_true_forward_residual(self, state_gauss):
+    def test_true_forward_residual(self, state_gauss, monkeypatch):
+        monkeypatch.setattr(operators, "INNER_TOL", 1e-10)
         ctx = state_gauss.context
         g = state_gauss.grid
         payloads = [state_gauss.potential.samples, state_gauss.u,
                     RadialField(g, np.exp(-(g.r - 1.0) ** 2), POSITION)]
         for psi in payloads:
-            out, report = apply_frakKe(psi, ctx, tol=1e-10)
+            out, report = apply_frakKe(psi, ctx)
             assert report.converged
             assert forward_residual(out, psi, ctx.multiplier(),
                                     ctx.v.samples.values) <= 1e-9
@@ -301,7 +322,6 @@ class TestFrakKe:
         # the raw r*w kernel is the field-level iteration in other variables,
         # with its capacitance matrix read from one kM^-1 column, not spike transforms
         g = state_gauss.grid
-        tol = INNER_TOL
         v_values = state_gauss.potential.samples.values
         support = np.flatnonzero(v_values > 1e-14 * np.max(v_values))
         assert 0 < support.size <= _SUPPORT_MAX
@@ -310,8 +330,9 @@ class TestFrakKe:
             v_values = ctx.v.samples.values
             for psi in (state_gauss.potential.samples, state_gauss.u,
                         RadialField(g, np.exp(-(g.r - 1.0) ** 2), POSITION)):
-                w, report = ctx.resolvent.solve(psi.values, ctx.multiplier(), tol)
-                ref, iterations = reference_cg(psi, v_values, ctx.multiplier(), tol, nodes)
+                w, report = ctx.resolvent.solve(psi.values, ctx.multiplier())
+                ref, iterations = reference_cg(psi, v_values, ctx.multiplier(), INNER_TOL,
+                                               nodes)
                 assert report.iterations == iterations
                 assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -320,7 +341,7 @@ class TestFrakKe:
         # floors above it (~2e-12 on this n=8191 grid, higher at larger n),
         # which operators.INNER_TOL documents
         ctx = state_gauss.context
-        out, report = apply_frakKe(state_gauss.u, ctx, tol=INNER_TOL)
+        out, report = apply_frakKe(state_gauss.u, ctx)
         assert report.converged
         assert forward_residual(out, state_gauss.u, ctx.multiplier(),
                                 ctx.v.samples.values) <= 1e-11
@@ -328,8 +349,7 @@ class TestFrakKe:
     def test_iterations_on_v(self, state_gauss):
         # fK_e v at the production tolerance took 6 CG iterations with the
         # kM^-1 preconditioner; v on 232 nodes is inverted exactly now
-        _, report = apply_frakKe(state_gauss.potential.samples,
-                                 state_gauss.context, tol=INNER_TOL)
+        _, report = apply_frakKe(state_gauss.potential.samples, state_gauss.context)
         assert report.converged
         assert report.iterations <= 2
 
@@ -339,7 +359,7 @@ class TestFrakKe:
         for ctx, per_iteration in ((state_gauss.context, 4), (wide_context, 2)):
             ctx.resolvent                   # built once, outside the count
             calls[0] = 0
-            _, report = apply_frakKe(state_gauss.u, ctx, tol=1e-12)
+            _, report = apply_frakKe(state_gauss.u, ctx)
             assert report.converged
             assert calls[0] == per_iteration * report.iterations
 
@@ -352,9 +372,9 @@ class TestFrakKe:
         for v_values, resolvent in ((zero, Resolvent(g, sampled(g, zero), multiplier)),
                                     (wide_context.v.samples.values, wide_context.resolvent)):
             for psi in (state_gauss.potential.samples, state_gauss.u):
-                w, report = resolvent.solve(psi.values, multiplier, 1e-12)
+                w, report = resolvent.solve(psi.values, multiplier)
                 ref, ref_report = kM_only_cg(g, psi.values, v_values, multiplier,
-                                             1e-12, 1000)
+                                             INNER_TOL, 1000)
                 assert report == ref_report
                 np.testing.assert_array_equal(w, ref)
 
@@ -367,7 +387,8 @@ class TestFrakKe:
     def test_field_inits_independent_of_iterations(self, state_gauss, wide_context,
                                                    monkeypatch):
         # CG iterates on raw arrays; only the entry and exit build fields
-        # (on the uncorrected kernel, where tolerance still moves the count)
+        # (on the uncorrected kernel, where tolerance still moves the count);
+        # the solve reads INNER_TOL when it runs, not when it is defined
         ctx = wide_context
         post_init = RadialField.__post_init__
         inits = [0]
@@ -379,8 +400,9 @@ class TestFrakKe:
         monkeypatch.setattr(RadialField, "__post_init__", counted)
         runs = []
         for tol in (1e-3, 1e-12):
+            monkeypatch.setattr(operators, "INNER_TOL", tol)
             before = inits[0]
-            _, report = apply_frakKe(state_gauss.u, ctx, tol=tol)
+            _, report = apply_frakKe(state_gauss.u, ctx)
             runs.append((report.iterations, inits[0] - before))
         assert runs[0][0] < runs[1][0]
         assert runs[0][1] == runs[1][1]
@@ -423,7 +445,7 @@ class TestShortPayloads:
     @staticmethod
     def payloads(state):
         return {"v": state.potential.samples, "u": state.u,
-                "probe": random_nonneg_fields(state.grid, count=1)[0]}
+                "probe": random_nonneg_fields(state.grid)[0]}
 
     def test_dst1_calls_per_solve(self, state_dilute, monkeypatch):
         ctx = state_dilute.context
@@ -433,7 +455,7 @@ class TestShortPayloads:
         payloads = self.payloads(state_dilute)
         for name, per_solve in (("v", 2), ("probe", 2), ("u", 4)):
             calls[0] = 0
-            _, report = apply_frakKe(payloads[name], ctx, tol=INNER_TOL)
+            _, report = apply_frakKe(payloads[name], ctx)
             assert report.converged and report.iterations == 1
             assert calls[0] == per_solve, name
 
@@ -441,7 +463,7 @@ class TestShortPayloads:
         ctx = state_dilute.context
         multiplier, v_values = ctx.multiplier(), ctx.v.samples.values
         for psi in self.payloads(state_dilute).values():
-            w, report = ctx.resolvent.solve(psi.values, multiplier, INNER_TOL)
+            w, report = ctx.resolvent.solve(psi.values, multiplier)
             ref, iterations = reference_cg(psi, v_values, multiplier, INNER_TOL,
                                            ctx.resolvent.support)
             assert report.iterations == iterations
@@ -452,11 +474,11 @@ class TestShortPayloads:
         ctx = state_dilute.context
         multiplier = ctx.multiplier()
         payloads = self.payloads(state_dilute)
-        short = {k: ctx.resolvent.solve(p.values, multiplier, INNER_TOL)
+        short = {k: ctx.resolvent.solve(p.values, multiplier)
                  for k, p in payloads.items()}
         monkeypatch.setattr(ctx.resolvent, "v_end", None)
         for name, psi in payloads.items():
-            w, report = ctx.resolvent.solve(psi.values, multiplier, INNER_TOL)
+            w, report = ctx.resolvent.solve(psi.values, multiplier)
             assert short[name][1].iterations == report.iterations
             if name == "u":
                 np.testing.assert_array_equal(short[name][0], w)
@@ -468,8 +490,7 @@ class TestShortPayloads:
         resolvent = state_gauss.context.resolvent
         assert resolvent.support.size == 232 and resolvent.v_end is None
         calls = count_dst1(monkeypatch)
-        _, report = apply_frakKe(state_gauss.potential.samples, state_gauss.context,
-                                 tol=INNER_TOL)
+        _, report = apply_frakKe(state_gauss.potential.samples, state_gauss.context)
         assert calls[0] == 4 * report.iterations
 
     def test_residuals_stay_inside_the_block(self, monkeypatch):
@@ -489,7 +510,8 @@ class TestShortPayloads:
 
         monkeypatch.setattr(Resolvent, "_precondition", recorded)
         psi = np.eye(1, g.n)[0]
-        _, report = resolvent.solve(psi, multiplier, 1e-16)
+        monkeypatch.setattr(operators, "INNER_TOL", 1e-16)
+        _, report = resolvent.solve(psi, multiplier)
         assert report.converged and report.iterations == len(inputs) == 2
         assert np.flatnonzero(inputs[1][0]).tolist() == [3, 6]
         for s, width in inputs:
@@ -507,10 +529,10 @@ class TestShortPayloads:
         calls = count_dst1(monkeypatch)
         for psi in (np.exp(-g.r**2), np.ones(g.n)):
             calls[0] = 0
-            w, report = resolvent.solve(psi, multiplier, 1e-12)
+            w, report = resolvent.solve(psi, multiplier)
             assert calls[0] == 2 * report.iterations
             ref, iterations = reference_cg(RadialField(g, psi, POSITION), v_values,
-                                           multiplier, 1e-12, (3,))
+                                           multiplier, INNER_TOL, (3,))
             assert report.iterations == iterations
             assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -540,5 +562,5 @@ def test_xi_flat_at_small_e():
     v = gaussian_potential(1.0, 1.0, config.grid_for(e))
     state = solve_fixed_e(v, e, config)
     rho_u = RadialField(state.grid, state.rho * state.u.values, POSITION)
-    result = xi_flatness(state.context, rho_u, radii=(0.1, 1.0, 10.0))
+    result = xi_flatness(state.context, rho_u)
     assert result["max_deviation"] <= 0.15

@@ -9,8 +9,8 @@ from bosegas import (ConfigurationError, ConvergenceError, ExplicitSolutionSpec,
                      gaussian_potential, make_grid, potential_from_file,
                      scattering_identity_defect, scattering_length, solve_fixed_rho,
                      tabulated_potential)
-from bosegas.potentials import (_BLOCK, EXPLICIT_SHARP_CONDITION, Potential,
-                                _integrate_scattering, _log_derivative_radius)
+from bosegas.potentials import (_BLOCK, Potential, _integrate_scattering,
+                                _log_derivative_radius)
 
 from conftest import exp_table
 
@@ -75,9 +75,17 @@ class TestGaussian:
         v = gaussian_potential(1.0, w, make_grid(4095, 1000.0))
         assert v.norms.v_l1 == pytest.approx(np.pi**1.5 * w**3, rel=1e-12)
         assert v.norms.v_l2 == pytest.approx((np.pi / 2) ** 0.75 * w**1.5, rel=1e-12)
-        assert v.norms.x2v_l1 == pytest.approx(1.5 * np.pi**1.5 * w**5, rel=1e-12)
         with pytest.raises(InvariantViolation, match="v is 0 at every grid node"):
             solve_fixed_rho(v, 0.05)
+
+    def test_unrepresentable_norm_is_a_configuration_error(self, grid_small):
+        # scale^3 of quad's unit-width integral overflowed as a raw OverflowError
+        v = gaussian_potential(1.0, 1e300, grid_small)
+        with pytest.raises(ConfigurationError, match=r"\|\|v\|\|_1 of potential 'gaussian'"):
+            v.norms
+        # int |x|^2 v of range 1e100 overflowed the same way; ||v||_1 and ||v||_2 do not
+        explicit = explicit_potential(ExplicitSolutionSpec(1e-100, 0.5, 1.0), grid_small)
+        assert np.isfinite(explicit.norms.v_l1) and np.isfinite(explicit.norms.v_l2)
 
     def test_extent_is_past_the_last_nonzero_node(self, grid_small):
         # exp(-r^2) underflows to exactly 0 near r = 27.3; an r^-6 tail does not
@@ -94,8 +102,7 @@ class TestGaussian:
             gaussian_potential(0.0, 1.0, grid_small)
 
     def test_all_moments_finite(self, gauss_small):
-        assert gauss_small.x4v_finite
-        assert np.isfinite(gauss_small.norms.x4v_l1)
+        assert all(gauss_small.moment_finite(m, q) for m in (0, 2, 4) for q in (1.0, 2.0))
 
     def test_thresholds(self, gauss_small):
         assert gauss_small.e_star == pytest.approx(
@@ -120,24 +127,20 @@ class TestExplicitPotential:
         assert coeffs[-1] == pytest.approx(12 * 0.5 * (2 * 1.0 - 1.0))
         assert np.all(coeffs >= 0)
 
-    def test_sharper_condition_gate(self, grid_small):
-        assert EXPLICIT_SHARP_CONDITION == pytest.approx(0.60, abs=1e-2)
-        with pytest.raises(ConfigurationError):
+    def test_sharper_condition_gate(self):
+        # e/b^2 = 0.65 is below the proven 7/9
+        with pytest.raises(ConfigurationError, match="e/b\\^2 >= 0.777778"):
             ExplicitSolutionSpec(b=1.0, c=0.5, e=0.65)
-        spec = ExplicitSolutionSpec(b=1.0, c=0.5, e=0.65, allow_unproven_region=True)
-        v = explicit_potential(spec, grid_small)
-        assert np.all(v.samples.values >= 0)
 
     def test_x4_moment_diverges(self, grid_small):
         v = explicit_potential(ExplicitSolutionSpec(1.0, 0.5, 1.0), grid_small)
-        assert not v.x4v_finite
-        assert v.norms.x4v_l1 == np.inf
-        assert np.isfinite(v.norms.x2v_l1)
+        assert not v.moment_finite(4)
+        assert v.moment_finite(2)
 
     def test_c_equal_one_flagged(self, grid_small):
         with pytest.warns(QualityWarning):
             v = explicit_potential(ExplicitSolutionSpec(1.0, 1.0, 1.0), grid_small)
-        assert not v.l2_finite
+        assert not v.bounded
         assert np.all(np.isfinite(v.samples.values))
 
     def test_density_of_family(self):
@@ -164,8 +167,6 @@ class TestTabulated:
         norms = v.norms
         assert norms.v_l1 == pytest.approx(moment(2, 3) / 27.0, rel=1e-14)
         assert norms.v_l2 == pytest.approx(np.sqrt(moment(2, 6)) / 27.0, rel=1e-14)
-        assert norms.x2v_l1 == pytest.approx(moment(4, 3) / 27.0, rel=1e-14)
-        assert norms.x4v_l1 == pytest.approx(moment(6, 3) / 27.0, rel=1e-14)
 
     def test_norms_integrate_each_piece(self, grid_small):
         # a table that starts off the origin: [0, r_0] is one piece of the
@@ -174,16 +175,14 @@ class TestTabulated:
         v = tabulated_potential([(r, np.exp(-r)) for r in r_tab], grid_small)
         knots = np.concatenate(([0.0], r_tab))
 
-        def piecewise(w, p):
-            return sum(quad(lambda r: 4.0 * np.pi * r ** (2 + w) * v.profile(r) ** p,
+        def piecewise(p):
+            return sum(quad(lambda r: 4.0 * np.pi * r ** 2 * v.profile(r) ** p,
                             a, b, epsabs=0.0, epsrel=1e-13)[0]
                        for a, b in zip(knots[:-1], knots[1:]))
 
         norms = v.norms
-        assert norms.v_l1 == pytest.approx(piecewise(0, 1), rel=1e-13)
-        assert norms.v_l2 == pytest.approx(np.sqrt(piecewise(0, 2)), rel=1e-13)
-        assert norms.x2v_l1 == pytest.approx(piecewise(2, 1), rel=1e-13)
-        assert norms.x4v_l1 == pytest.approx(piecewise(4, 1), rel=1e-13)
+        assert norms.v_l1 == pytest.approx(piecewise(1), rel=1e-13)
+        assert norms.v_l2 == pytest.approx(np.sqrt(piecewise(2)), rel=1e-13)
 
     def test_rejects_negative_value(self, grid_small):
         pairs = [(0.0, 1.0), (1.0, 0.5), (2.0, 0.2), (3.0, -0.1)]
@@ -259,12 +258,12 @@ class TestScatteringLength:
         # whose square root made v_l2 complex and e_large a TypeError
         with pytest.warns(QualityWarning):
             v = explicit_potential(ExplicitSolutionSpec(1.0, 1.0, 1.0), grid_small)
-        assert not v.l2_finite
+        assert not v.bounded
         assert v.norms.v_l2 == np.inf
         assert v.e_large == np.inf
-        bounded = explicit_potential(ExplicitSolutionSpec(1.0, 0.5, 1.0), grid_small)
-        assert bounded.l2_finite
-        assert 0.0 < bounded.norms.v_l2 < np.inf
+        c_half = explicit_potential(ExplicitSolutionSpec(1.0, 0.5, 1.0), grid_small)
+        assert c_half.bounded
+        assert 0.0 < c_half.norms.v_l2 < np.inf
 
     def test_c_equal_one_a0(self, grid_small):
         # the r^-2 origin is sampled as inf and replaced by v(h), silently

@@ -13,7 +13,6 @@ from bosegas import (ConfigurationError, CROSS_VALIDATED, FOURIER, MONOTONE,
                      u_prime, u_prime_integral)
 from bosegas import grids, operators, solver
 from bosegas.grids import POSITION, RadialField, fast_grid_size, make_grid
-from bosegas.operators import INNER_TOL
 from bosegas.potentials import QualityWarning
 from bosegas.errors import ConvergenceError
 from bosegas.solver import (_fourier_iteration, _grid_images, _image_sum,
@@ -294,8 +293,8 @@ def newton_step_system(v, e, grid, u, rho):
 def sherman_morrison_step(v, grid, rho, resolvent, multiplier, residual, conv):
     """(d, delta): the Newton step by two CG solves and Sherman-Morrison."""
     v_vals = v.samples.values
-    a, _ = resolvent.solve(residual, multiplier, INNER_TOL)
-    b, _ = resolvent.solve(conv, multiplier, INNER_TOL)
+    a, _ = resolvent.solve(residual, multiplier)
+    b, _ = resolvent.solve(conv, multiplier)
     delta = 1.0 - rho**2 * solver._s_moment(v, v_vals * b, grid, 0)
     return a + rho**2 * solver._s_moment(v, v_vals * a, grid, 0) / delta * b, delta
 
@@ -304,7 +303,7 @@ def sherman_morrison_newton(v, e, grid):
     """(rho, max|d| per step) of monotone Newton with every step by
     ``sherman_morrison_step``, the arithmetic the fallback branch must keep
     bit for bit."""
-    d = operators.apply_Ke(v.samples, e, v, tol=INNER_TOL)[0].values
+    d = operators.apply_Ke(v.samples, e, v)[0].values
     u = np.zeros(grid.n)
     history = []
     for it in range(1, solver._MAX_OUTER + 1):
@@ -334,8 +333,7 @@ class TestNewtonStep:
         resolvent, multiplier, residual, conv = system
         assert (resolvent.support.size > 0) == corrected
         ell = rho**2 * solver._moment_weights(v, grid) * v.samples.values
-        d, report, delta_M = resolvent.solve_rank_one(residual, multiplier, conv, ell,
-                                                      INNER_TOL)
+        d, report, delta_M = resolvent.solve_rank_one(residual, multiplier, conv, ell)
         assert report.converged
         reference, delta = sherman_morrison_step(v, grid, rho, *system)
         assert np.max(np.abs(d - reference)) <= 1e-10 * np.max(np.abs(reference))
