@@ -20,6 +20,7 @@ from scipy.special import gamma
 from .errors import ConfigurationError
 from .grids import POSITION, RadialField
 from .operators import apply_frakKe, frakKe_l2_bound
+from .potentials import power_or_inf
 from .solver import (_SMALL_E, _UNPROVEN, AuditRow, SolutionState, SweepRecord,
                      _regime_label, rho_prime)
 
@@ -50,7 +51,7 @@ def bogolyubov_depletion(rho_a0_cubed: float) -> float:
 def eta_nonnegativity_guaranteed(state: SolutionState) -> bool:
     """Small-density regime rho e^{-1/2} <= 2^(13/4) pi^2 / ||v||_1^2 in which
     the depletion is provably non-negative."""
-    bound = 2.0 ** (13.0 / 4.0) * np.pi**2 / state.potential.norms.v_l1**2
+    bound = 2.0 ** (13.0 / 4.0) * np.pi**2 / power_or_inf(state.potential.norms.v_l1, 2)
     return state.rho / np.sqrt(state.e) <= bound
 
 

@@ -33,6 +33,14 @@ class PotentialNorms:
     v_l2: float
 
 
+def power_or_inf(x: float, power: int) -> float:
+    """x**power, inf where it overflows a double (a Python float raises)."""
+    try:
+        return x**power
+    except OverflowError:
+        return np.inf
+
+
 @dataclass
 class Potential:
     """A validated repulsive interaction sampled on a radial grid."""
@@ -86,10 +94,7 @@ class Potential:
         else:
             val, _ = quad(lambda x: 4.0 * np.pi * x ** 2 * self.profile(scale * x) ** p,
                           0.0, np.inf, limit=400)
-            try:
-                value = float(scale ** 3 * val)
-            except OverflowError:
-                value = np.inf
+            value = float(power_or_inf(scale, 3) * val)
         if not value < np.inf:
             raise ConfigurationError(f"||v||_{p:g} of potential '{self.name}' is not "
                                      "representable in double precision")
@@ -107,12 +112,12 @@ class Potential:
     @property
     def e_star(self) -> float:
         """Proven small-e monotonicity threshold sqrt(2) pi^3 / ||v||_1^2."""
-        return float(np.sqrt(2.0) * np.pi**3 / self.norms.v_l1**2)
+        return float(np.sqrt(2.0) * np.pi**3 / power_or_inf(self.norms.v_l1, 2))
 
     @property
     def e_large(self) -> float:
         """Proven large-e monotonicity threshold 2^3 ||v||_2^4 / pi^4."""
-        return float(8.0 * self.norms.v_l2**4 / np.pi**4)
+        return float(8.0 * power_or_inf(self.norms.v_l2, 4) / np.pi**4)
 
     @cached_property
     def a0(self) -> float:

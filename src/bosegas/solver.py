@@ -67,6 +67,7 @@ _STALL_WINDOW = 25      # k-space steps without a new minimum of max|f| before h
 _IMAGE_TERMS = 44       # odd terms of the image series; the last is < 1e-20 relative at x = 1/2
 _FD_REL_STEP = 1e-4     # de / e of the centered difference in rho_prime_fd
 _INVERSION_RTOL = 1e-8  # |rho - target| / target accepted at the root of solve_fixed_rho
+_LOWER_END_PROBES = 12  # lower ends solve_fixed_rho tries, each a quarter of the last
 
 
 @dataclass(frozen=True)
@@ -228,15 +229,20 @@ class SolutionState:
 
     def require_invariants(self, norm_tol: float = 1e-6):
         """InvariantViolation naming every failed contract row; the grid hint
-        is given only when a failed row is one refinement can move."""
-        failed = [row for row in self.check_invariants(norm_tol).values() if not row.passed]
+        is given only when a failed row is one refinement can move. With max
+        u^2 below the smallest normal double, u*u underflows on every grid."""
+        rows = self.check_invariants(norm_tol)
+        failed = [row for row in rows.values() if not row.passed]
         if failed:
+            fixed, note, tiny = _GRID_INDEPENDENT_ROWS, "", np.finfo(float).tiny
+            if not rows["pde_residual"].passed and np.max(self.u.values) ** 2 < tiny:
+                fixed, note = fixed | {"pde_residual"}, f"; max u^2 < {tiny:.3g}: u*u underflows"
             hint = ("; increase r_max and/or n"
-                    if any(r.name not in _GRID_INDEPENDENT_ROWS for r in failed) else "")
+                    if any(r.name not in fixed for r in failed) else "")
             raise InvariantViolation(
                 "converged state violates "
                 + ", ".join(f"{r.name} ({r.note}: {r.lhs:.6g} vs {r.rhs:.6g})" for r in failed)
-                + hint
+                + hint + note
             )
 
 
@@ -859,17 +865,18 @@ def solve_fixed_rho(v: Potential, rho_target: float,
                     config: SolverConfig | None = None) -> SolutionState:
     """Invert rho(e): find e with rho(e) = rho_target, to _INVERSION_RTOL.
 
-    The initial bracket [rho ||v||_1 / 4, rho ||v||_1 / 2] is guaranteed by
-    the density bracket 2e/||v||_1 <= rho(e) <= 4e/||v||_1. If the bracket
-    does not straddle (possible outside the proven monotone regimes) a log
-    scan locates sign changes and reports multiplicity.
+    rho(e) >= 2e/||v||_1 for every repulsive v (u >= 0; Carlen, Jauslin &
+    Lieb, arXiv:1912.04987), so rho(e_hi) >= rho_target at e_hi = rho_target
+    ||v||_1 / 2. e_lo starts at e_hi / 2 and, while rho(e_lo) > rho_target, the
+    bracket moves down (e_hi <- e_lo, e_lo <- e_lo / 4; ``_LOWER_END_PROBES``
+    lower ends at most) before brentq runs on it. The grid is sized from the
+    first e_lo, so with an auto r_max a root far below it can fail ``intu``.
     """
     if rho_target <= 0:
         raise ConfigurationError("solve_fixed_rho needs rho_target > 0")
     config = config or SolverConfig()
-    v1 = v.norms.v_l1
-    e_lo = rho_target * v1 / 4.0
-    e_hi = rho_target * v1 / 2.0
+    e_hi = rho_target * v.norms.v_l1 / 2.0
+    e_lo = e_hi / 2.0
     grid = config.grid_for(e_lo)
     cfg = replace(config, r_max=grid.r_max)
     v = v.resampled(grid)
@@ -883,33 +890,21 @@ def solve_fixed_rho(v: Potential, rho_target: float,
             warm[0] = cache[e].u
         return cache[e].rho / rho_target - 1.0
 
-    def root_state(e: float) -> SolutionState:
-        solved = cache.get(e) or _solve(v, e, cfg, warm[0])
-        defect = abs(solved.rho - rho_target) / rho_target
-        if defect > _INVERSION_RTOL:
-            raise ConvergenceError(
-                f"density inversion stopped at |rho - target|/target = {defect:.3e}"
-            )
-        return _build_state(v, e, cfg, solved)
-
+    for _ in range(_LOWER_END_PROBES):
+        if rho_defect(e_lo) <= 0:       # the first probe starts from u = 0
+            break
+        e_hi, e_lo = e_lo, e_lo / 4.0
+    else:
+        raise ConvergenceError(f"rho(e) > {rho_target:g} at every e tried, down to {e_hi:.3g}")
+    if rho_defect(e_hi) < 0:            # a new probe only if the bracket never moved
+        raise InvariantViolation(f"con4B_low (2e/||v||_1 <= rho) fails at e = {e_hi:.6g}, rho = "
+                                 f"{cache[e_hi].rho:.6g}: the grid misintegrates v")
     # a bracket end with rho exactly on target is brentq's root, read from the cache
-    if rho_defect(e_lo) * rho_defect(e_hi) > 0:
-        # non-monotone or bracket-degenerate: scan for sign changes
-        scan = np.geomspace(e_lo / 4.0, e_hi * 4.0, 25)
-        values = [rho_defect(float(e)) for e in scan]
-        crossings = [i for i in range(len(scan) - 1) if values[i] * values[i + 1] <= 0]
-        if not crossings:
-            raise ConvergenceError(
-                f"no e with rho(e) = {rho_target:g} found in "
-                f"[{scan[0]:.3g}, {scan[-1]:.3g}]"
-            )
-        if len(crossings) > 1:
-            warnings.warn(
-                f"rho(e) = {rho_target:g} has {len(crossings)} candidate roots; "
-                "returning the smallest-e one", QualityWarning, stacklevel=2,
-            )
-        i = crossings[0]
-        e_lo, e_hi = float(scan[i]), float(scan[i + 1])
-
-    e_root = brentq(rho_defect, e_lo, e_hi, xtol=1e-300, rtol=1e-14, maxiter=200)
-    return root_state(float(e_root))
+    e_root = float(brentq(rho_defect, e_lo, e_hi, xtol=1e-300, rtol=1e-14, maxiter=200))
+    solved = cache.get(e_root) or _solve(v, e_root, cfg, warm[0])
+    defect = abs(solved.rho - rho_target) / rho_target
+    if defect > _INVERSION_RTOL:
+        raise ConvergenceError(
+            f"density inversion stopped at |rho - target|/target = {defect:.3e}"
+        )
+    return _build_state(v, e_root, cfg, solved)

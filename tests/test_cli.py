@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import fields
 
@@ -287,6 +288,36 @@ class TestExtremeInputs:
         err = capsys.readouterr().err
         assert code == expected, err
         assert "error: " in err and "nan" not in err
+
+    def test_underflowing_u_squared_is_named(self, tmp_path, capsys):
+        # u ~ 1e-300, so u*u is 0 and no grid clears pde_residual
+        code = main(["--mode", "solve", "--potential", "gaussian", "--amp", "1e-300",
+                     "--width", "1", "--e", "1", "--grid-n", "4095",
+                     "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 4, err
+        assert "pde_residual" in err and "u*u underflows" in err
+        assert "increase r_max" not in err
+
+    def test_overflowing_norm_square_sweeps(self, tmp_path, capsys):
+        # ||v||_1^2 overflows: e_star = 0 and e_large = inf, no OverflowError
+        code = main(["--mode", "sweep", "--potential", "explicit", "--b", "1e-100",
+                     "--c", "0.5", "--v-e", "1", "--e-min", "1", "--e-max", "2",
+                     "--e-steps", "2", "--grid-n", "4095", "--out", str(tmp_path / "sw")])
+        err = capsys.readouterr().err
+        assert code == 0, err
+        with open(tmp_path / "sw.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["regime"] for row in rows] == ["outside proven monotonicity regime"] * 2
+
+    def test_strong_invert_exits_on_con4B_high(self, tmp_path, capsys):
+        # the root lies below the first bracket, where rho > 4e/||v||_1
+        code = main(["--mode", "invert", "--potential", "gaussian", "--amp", "100",
+                     "--width", "1", "--rho", "1e-4", "--grid-n", "8191",
+                     "--r-max", "1000", "--out", str(tmp_path / "inv")])
+        err = capsys.readouterr().err
+        assert code == 4, err
+        assert "con4B_high" in err and "no e with" not in err
 
 
 class TestEmission:

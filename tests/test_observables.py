@@ -263,6 +263,18 @@ class TestObservableReport:
         momentum_distribution(used, ks)
         assert observables_report(used, k_values=ks) == fresh
 
+    def test_default_momentum_window(self, state_dilute):
+        # 24 samples on [10 sqrt(e), min(100 sqrt(e), 0.5 / width, k_max)]
+        e, k_max = state_dilute.e, float(state_dilute.grid.k[-1])
+        report = observables_report(state_dilute)
+        ks = np.geomspace(10.0 * np.sqrt(e), min(100.0 * np.sqrt(e), 0.5, k_max), 24)
+        assert np.array_equal([(k, m) for k, m, _ in report.momentum_samples],
+                              momentum_distribution(state_dilute, ks))
+
+    def test_default_momentum_window_collapses(self, state_gauss):
+        # 10 sqrt(e) = 7.07 is past 0.5 / width: no dilute window
+        assert observables_report(state_gauss).momentum_samples == []
+
     def test_lhy_fields_match_lhy_compare(self, state_gauss):
         a0 = state_gauss.potential.a0
         report = observables_report(state_gauss, a0=a0, k_values=[])

@@ -1,4 +1,5 @@
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from bosegas import (ConfigurationError, ConvergenceError, ExplicitSolutionSpec,
                      gaussian_potential, make_grid, potential_from_file,
                      scattering_identity_defect, scattering_length, solve_fixed_rho,
                      tabulated_potential)
+from bosegas.observables import eta_nonnegativity_guaranteed
 from bosegas.potentials import (_BLOCK, Potential, _integrate_scattering,
                                 _log_derivative_radius)
 
@@ -105,10 +107,8 @@ class TestGaussian:
         assert all(gauss_small.moment_finite(m, q) for m in (0, 2, 4) for q in (1.0, 2.0))
 
     def test_thresholds(self, gauss_small):
-        assert gauss_small.e_star == pytest.approx(
-            np.sqrt(2) * np.pi**3 / gauss_small.norms.v_l1**2)
-        assert gauss_small.e_large == pytest.approx(
-            8 * gauss_small.norms.v_l2**4 / np.pi**4)
+        assert gauss_small.e_star == np.sqrt(2) * np.pi**3 / gauss_small.norms.v_l1**2
+        assert gauss_small.e_large == 8 * gauss_small.norms.v_l2**4 / np.pi**4
 
 
 class TestExplicitPotential:
@@ -136,6 +136,15 @@ class TestExplicitPotential:
         v = explicit_potential(ExplicitSolutionSpec(1.0, 0.5, 1.0), grid_small)
         assert not v.moment_finite(4)
         assert v.moment_finite(2)
+
+    def test_overflowing_norm_powers_give_the_limiting_thresholds(self, grid_small):
+        # ||v||_1 = 1.1e301 and ||v||_2 = 2.6e150 are finite, ||v||_1^2 and
+        # ||v||_2^4 are not, and a Python float ** raises OverflowError there
+        v = explicit_potential(ExplicitSolutionSpec(b=1e-100, c=0.5, e=1.0), grid_small)
+        assert np.isfinite(v.norms.v_l1) and np.isfinite(v.norms.v_l2)
+        assert (v.e_star, v.e_large) == (0.0, np.inf)
+        state = SimpleNamespace(potential=v, rho=1e-300, e=1.0)
+        assert not eta_nonnegativity_guaranteed(state)
 
     def test_c_equal_one_flagged(self, grid_small):
         with pytest.warns(QualityWarning):

@@ -524,6 +524,18 @@ class TestKspaceMap:
             step(u, [])
 
 
+def record_solves(monkeypatch):
+    """Wrap ``solver._solve``; returns the list of e it is called at."""
+    solves, inner = [], solver._solve
+
+    def counting(*args):
+        solves.append(args[1])
+        return inner(*args)
+
+    monkeypatch.setattr(solver, "_solve", counting)
+    return solves
+
+
 class TestSolveFixedRho:
     def test_explicit_density_target(self, explicit_spec):
         config = SolverConfig(n=8191, r_max=400.0)
@@ -552,25 +564,70 @@ class TestSolveFixedRho:
         target = 0.05
         config = SolverConfig(n=4095, r_max=400.0 / np.sqrt(2.0 * target))
         v = gaussian_potential(1.0, 1.0, config.grid_for(2.0 * target))
-        builds, solves = [], []
-        inner_build, inner_solve = solver._build_state, solver._solve
+        builds, inner_build = [], solver._build_state
 
         def counting_build(*args):
             builds.append(args[1])
             return inner_build(*args)
 
-        def counting_solve(*args):
-            solves.append(args[1])
-            return inner_solve(*args)
-
         monkeypatch.setattr(solver, "_build_state", counting_build)
-        monkeypatch.setattr(solver, "_solve", counting_solve)
+        solves = record_solves(monkeypatch)
         state = solve_fixed_rho(v, target, config)
         assert builds == [state.e]
         assert len(solves) == len(set(solves))
         assert state.e == pytest.approx(0.11921230961654893, rel=1e-12)
         assert state.rho == pytest.approx(0.049999999999993244, rel=1e-12)
         state.require_invariants()
+
+    def test_strong_root_below_the_first_bracket(self, monkeypatch):
+        # amp 100 breaks rho <= 4e/||v||_1, so the root lies below the first
+        # lower end rho ||v||_1 / 4; a 25-point scan missed it in 27 solves
+        target, config = 1e-3, SolverConfig(n=4095, r_max=300.0)
+        v = gaussian_potential(100.0, 1.0, config.grid_for(1.0))
+        solves = record_solves(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QualityWarning)   # k-space stalls
+            state = solve_fixed_rho(v, target, config)
+        assert len(solves) < 27
+        assert state.e < target * v.norms.v_l1 / 4.0
+        assert abs(state.rho - target) / target <= solver._INVERSION_RTOL
+        failed = [row.name for row in state.check_invariants().values() if not row.passed]
+        assert failed == ["con4B_high"]
+
+    def test_amp_10_root_keeps_its_value_in_fewer_solves(self, monkeypatch):
+        # the scan found this root below the first bracket in 44 solves
+        config = SolverConfig(n=4095, r_max=300.0)
+        v = gaussian_potential(10.0, 1.0, config.grid_for(1.0))
+        solves = record_solves(monkeypatch)
+        state = solve_fixed_rho(v, 1e-3, config)
+        assert len(solves) <= 26
+        assert state.e == pytest.approx(0.007908655517027461, rel=1e-10)
+
+    def test_straddling_bracket_keeps_its_bits(self):
+        # probed e_lo from u = 0, then e_hi warm from it, then brentq
+        config = SolverConfig(n=4095, r_max=200.0)
+        v = gaussian_potential(3.0, 1.0, config.grid_for(1.0))
+        state = solve_fixed_rho(v, 1e-2, config)
+        assert (state.e, state.rho) == (0.05194266007554688, 0.0099999999999183)
+
+    @pytest.mark.parametrize("rho_of_e, error, match", [
+        (lambda e, v1: e / v1, InvariantViolation, "con4B_low"),     # below 2e/||v||_1
+        (lambda e, v1: 1.0, ConvergenceError, "at every e tried"),
+    ], ids=["misintegrated", "never_below"])
+    def test_bracket_failures(self, monkeypatch, gauss_small, rho_of_e, error, match):
+        v1, probes = gauss_small.norms.v_l1, []
+
+        def fake_solve(v, e, config, u0):
+            probes.append(e)
+            return solver.Solved(u=np.zeros(v.grid.n), rho=rho_of_e(e, v1),
+                                 iterations=0, scheme_used="fake", history=[])
+
+        monkeypatch.setattr(solver, "_solve", fake_solve)
+        with pytest.raises(error, match=match) as caught:
+            solve_fixed_rho(gauss_small, 0.1, SolverConfig(n=2047, r_max=60.0))
+        if error is ConvergenceError:
+            assert len(probes) == solver._LOWER_END_PROBES
+            assert f"{min(probes):.3g}" in str(caught.value)
 
     def test_rejects_nonpositive_target(self, gauss_small):
         with pytest.raises(ConfigurationError):
