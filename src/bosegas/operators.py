@@ -37,10 +37,15 @@ from .grids import (FREQUENCY, POSITION, RadialField, RadialGrid, dst1,
 from .potentials import Potential, QualityWarning
 
 INNER_TOL = 1e-12
-"""Relative residual of every K_e/fK_e and Newton solve, read when a solve
-stops. The recomputed residual floors above it, higher for larger n and rougher
-payloads (fK_e u: ~2e-12 at n=4095, 6e-11 at n=161999); below that,
-``final_residual`` is the CG recurrence's estimate."""
+"""Relative residual of every CG solve (K_e, fK_e, Newton's first step and its
+two-CG fallback), read when a solve stops. The recomputed residual floors above
+it, higher for larger n and rougher payloads (fK_e u: ~2e-12 at n=4095, 6e-11
+at n=161999); below that, ``final_residual`` is the CG recurrence's estimate."""
+NEWTON_FORCING = 1e-3
+"""Relative residual of each Newton step's GMRES solve, read when it stops: a
+fixed inexact-Newton forcing term (Dembo, Eisenstat & Steihaug 1982). Newton
+gains ~1.2 digits a step on wide supports, so digits past this one buy nothing:
+step counts, monotone iterates and rho (to ~1e-13) matched INNER_TOL's."""
 MAX_ITER = 10_000        # CG iterations before a solve is reported unconverged
 POSITIVITY_SLACK = 1e-10
 _SUPPORT_RTOL = 1e-14    # v above this fraction of max v is on the preconditioner's support
@@ -181,9 +186,8 @@ class Resolvent:
         self.v_end = v.extent if self.support.size and v.extent <= self.reach else None
         if self.support.size:
             n, last = grid.n, int(self.support[-1])
-            unit = np.zeros(n)
-            unit[0] = 1.0
-            column = dst1(dst1(unit) * self._kM_inverse_scale(multiplier))
+            unit_hat = 2.0 * np.sin(np.pi / (n + 1) * np.arange(1, n + 1))   # dst1 of e_0
+            column = dst1(unit_hat * self._kM_inverse_scale(multiplier))
             top = last + (last if self.v_end is None else max(last, self.reach - 1))  # max i + j
             if top >= n:    # c even about N makes the column odd about index n
                 column = np.concatenate((column, [0.0], -column[:0:-1]))
@@ -300,8 +304,8 @@ class Resolvent:
         itself when v lives on the support. The basis is kept as separate length-n vectors,
         with the P^-1 of each, so w needs no last P^-1. Stops when the
         least-squares residual ||psi - (kM + v - c g^T) w|| / ||psi|| reaches
-        INNER_TOL; unconverged after _KRYLOV_MAX iterations or on a breakdown
-        (a zero or non-finite rotation).
+        NEWTON_FORCING (the Newton step is inexact); unconverged after
+        _KRYLOV_MAX iterations or on a breakdown (a zero or non-finite rotation).
 
         With c, g >= 0, delta_M is at most delta = 1 - g.(kM + v)^-1 c, the
         Sherman-Morrison denominator of the system itself: M <= kM + v, both
@@ -360,7 +364,7 @@ class Resolvent:
             rhs[j + 1] = -sines[j] * rhs[j]
             rhs[j] *= cosines[j]
             res = abs(float(rhs[j + 1])) / beta
-            if res <= INNER_TOL:
+            if res <= NEWTON_FORCING:
                 return iterate(j + 1, res, True)
             t /= next_norm
             basis.append(t)

@@ -12,10 +12,10 @@ Two schemes converge to the same discrete fixed point:
   y = (rho/2e) Shat(k), kappa = k/(2 sqrt(e)), S = (1-u) v.
 * ``real_space_monotone``: monotone Newton on the real-space residual
   R(u) = v + 2e rho u*u - (-Delta + v + 4e) u, rho = 2e / int (1-u) v, from
-  u_0 = 0. The first step is u_1 = K_e v; each later one is one GMRES solve
-  with the Newton operator, fK_e^-1 at the iterate plus a rank-one term (two
-  CG solves where only they certify its denominator). Iterates increase
-  pointwise toward the solution.
+  u_0 = 0. The first step is u_1 = K_e v; each later one is one GMRES solve,
+  inexact to the forcing NEWTON_FORCING, with the Newton operator, fK_e^-1 at
+  the iterate plus a rank-one term (two CG solves where only they certify its
+  denominator). Iterates increase pointwise toward the solution.
 
 The k-space map u -> G(u) is iterated by type-II Anderson mixing of depth
 ``_ANDERSON_DEPTH``, restarted when max|G(u) - u| grows; its fixed point is
@@ -517,9 +517,11 @@ def _monotone_iteration(v: Potential, e: float, grid: RadialGrid) -> Solved:
     4e(1 - C_{rho u}). At u_0 = 0, A = K_e^-1 and u*u = 0: the first step is
     u_1 = K_e v. Each later step solves J d = R once, by ``Resolvent.solve_rank_one``
     (GMRES preconditioned by M - rho^2 (u*u) l, M the Resolvent's
-    preconditioner of A), when its denominator delta_M = 1 - rho^2 l(M^-1 u*u)
-    is positive: delta_M is a lower bound on the Sherman-Morrison
-    denominator delta = 1 - rho^2 l(A^-1 u*u), so delta > 0 then holds.
+    preconditioner of A, stopped at the relative residual NEWTON_FORCING:
+    inexact, as Newton gains only ~1.2 digits a step), when its denominator
+    delta_M = 1 - rho^2 l(M^-1 u*u) is positive: delta_M is a lower bound on
+    the Sherman-Morrison denominator delta = 1 - rho^2 l(A^-1 u*u), so
+    delta > 0 then holds.
     Otherwise (a strong v whose support is too wide for M to treat it
     exactly) the step solves A a = R and A b = u*u by CG and moves by
     d = a + c b, c = rho^2 l(a) / delta, with a delta that is not positive a

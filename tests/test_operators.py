@@ -207,6 +207,26 @@ class TestKe:
                 pytest.raises(ConvergenceError, match="capacitance matrix .* cannot be factored"):
             Resolvent(g, sampled(g, v_values), g.k**2 + 4e-10)
 
+    @pytest.mark.parametrize("n", [4095, 12149, 161999])
+    def test_corrected_build_takes_one_dst1(self, n, monkeypatch):
+        # dst1 of e_0 is 2 sin(pi j/(n+1)), j = 1..n, in closed form: the
+        # capacitance column costs one DST-I where it took two
+        g = make_grid(n, 0.01 * n)
+        v_values = np.zeros(g.n)
+        v_values[:3] = 1.0
+        multiplier = g.k**2 + 0.4
+        inputs, real = [], operators.dst1
+
+        def recorded(x):
+            inputs.append(x.copy())
+            return real(x)
+
+        monkeypatch.setattr(operators, "dst1", recorded)
+        resolvent = Resolvent(g, sampled(g, v_values), multiplier)
+        assert resolvent.support.size == 3 and len(inputs) == 1
+        unit_hat = inputs[0] / resolvent._kM_inverse_scale(multiplier)
+        assert np.max(np.abs(unit_hat - real(np.eye(1, n)[0]))) <= 1e-14
+
     def test_dominated_by_Ge(self, gauss_small, grid_small):
         psi = RadialField(grid_small, np.exp(-grid_small.r**2), POSITION)
         ke, _ = apply_Ke(psi, 0.5, gauss_small)

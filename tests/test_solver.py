@@ -322,9 +322,10 @@ class TestNewtonStep:
         (lambda grid: explicit_potential(ExplicitSolutionSpec(1.0, 0.5, 1.0), grid), False),
         (lambda grid: gaussian_potential(1.0, 1.0, grid), True),
     ])
-    def test_gmres_step_is_the_sherman_morrison_step(self, make, corrected):
+    def test_gmres_step_is_the_sherman_morrison_step(self, make, corrected, monkeypatch):
         # the r^-6 tail puts every node on the support of v (no correction),
-        # the Gaussian 232 nodes (corrected)
+        # the Gaussian 232 nodes (corrected); solved to INNER_TOL, the step
+        # is the exact one, and at the production forcing it stops there
         grid = make_grid(4095, 100.0)
         v = make(grid)
         u = 0.5 * _fourier_iteration(v, 0.3, grid, None).u
@@ -333,6 +334,9 @@ class TestNewtonStep:
         resolvent, multiplier, residual, conv = system
         assert (resolvent.support.size > 0) == corrected
         ell = rho**2 * solver._moment_weights(v, grid) * v.samples.values
+        _, report, _ = resolvent.solve_rank_one(residual, multiplier, conv, ell)
+        assert report.converged and report.final_residual <= operators.NEWTON_FORCING
+        monkeypatch.setattr(operators, "NEWTON_FORCING", operators.INNER_TOL)
         d, report, delta_M = resolvent.solve_rank_one(residual, multiplier, conv, ell)
         assert report.converged
         reference, delta = sherman_morrison_step(v, grid, rho, *system)
@@ -379,12 +383,48 @@ class TestNewtonStep:
 
     def test_unconverged_gmres_is_a_convergence_error(self, monkeypatch):
         # the r^-6 tail leaves v off the preconditioner's support, so GMRES
-        # needs 6-9 iterations; a two-vector basis cannot reach INNER_TOL
+        # needs 4 iterations at step 2 to reach NEWTON_FORCING; a two-vector
+        # basis cannot
         grid = make_grid(4095, 100.0)
         v = explicit_potential(ExplicitSolutionSpec(1.0, 0.5, 1.0), grid)
         monkeypatch.setattr(operators, "_KRYLOV_MAX", 2)
         with pytest.raises(ConvergenceError, match="Newton GMRES solve on step 2 stalled"):
             _monotone_iteration(v, 0.3, grid)
+
+    @pytest.mark.parametrize("make, support", [
+        (lambda grid: explicit_potential(ExplicitSolutionSpec(1.0, 0.5, 1.0), grid), 4095),
+        (exp_table, 1228),
+    ])
+    def test_inexact_steps_keep_the_exact_newton(self, make, support, monkeypatch):
+        # uncorrected supports, where GMRES stops at NEWTON_FORCING well short
+        # of INNER_TOL: the iterates still rise, and the step count and rho are
+        # those of steps solved to INNER_TOL at under half the iterations
+        grid = make_grid(4095, 100.0)
+        v = make(grid)
+        values = v.samples.values
+        assert np.count_nonzero(values > operators._SUPPORT_RTOL * np.max(values)) == support
+        kernel = operators.Resolvent.solve_rank_one
+
+        def run():
+            steps = []
+
+            def recorded(self, *args):
+                out = kernel(self, *args)
+                assert self.support.size == 0 and out[1] is not None
+                steps.append((out[1].iterations, float(np.min(out[0]))))
+                return out
+
+            monkeypatch.setattr(operators.Resolvent, "solve_rank_one", recorded)
+            return _monotone_iteration(v, 0.3, grid), steps
+
+        inexact, steps = run()
+        monkeypatch.setattr(operators, "NEWTON_FORCING", operators.INNER_TOL)
+        exact, exact_steps = run()
+        assert inexact.monotone_iterates
+        assert min(low for _, low in steps) >= -1e-10
+        assert inexact.iterations == exact.iterations
+        assert inexact.rho == pytest.approx(exact.rho, rel=1e-12, abs=0.0)
+        assert 2 * sum(it for it, _ in steps) <= sum(it for it, _ in exact_steps)
 
     @pytest.mark.parametrize("make", [
         lambda grid: gaussian_potential(1.0, 1.0, grid),
